@@ -185,6 +185,34 @@ mod tests {
         v.iter().map(|x| (*x).to_owned()).collect()
     }
 
+    /// A scratch directory owned by one test: the process id plus a
+    /// per-process counter keep concurrent tests (and concurrent test
+    /// processes) from sharing files, and the directory is removed on
+    /// drop.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(tag: &str) -> TestDir {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir =
+                std::env::temp_dir().join(format!("rchls-cli-{tag}-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn no_args_prints_help() {
         let out = run(&[]).unwrap();
@@ -455,8 +483,7 @@ mod tests {
 
     #[test]
     fn synth_trace_writes_a_chrome_trace() {
-        let dir = std::env::temp_dir().join("rchls-cli-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("trace-test");
         let path = dir.join("trace.json");
         let out = run(&s(&[
             "synth",
@@ -506,8 +533,7 @@ mod tests {
 
     #[test]
     fn metrics_validate_checks_schema() {
-        let dir = std::env::temp_dir().join("rchls-cli-metrics-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("metrics-test");
         let good = dir.join("snap.json");
         std::fs::write(&good, rchls_telemetry::metrics::snapshot_json()).unwrap();
         let out = run(&s(&["metrics", "--validate", good.to_str().unwrap()])).unwrap();
@@ -558,8 +584,7 @@ mod tests {
 
     #[test]
     fn dfg_from_file() {
-        let dir = std::env::temp_dir().join("rchls-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("test");
         let path = dir.join("tiny.dfg");
         std::fs::write(&path, "graph tiny\nop a add\nop b add\na -> b\n").unwrap();
         let out = run(&s(&[
@@ -577,8 +602,7 @@ mod tests {
 
     #[test]
     fn custom_library_from_file() {
-        let dir = std::env::temp_dir().join("rchls-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("test");
         let path = dir.join("lib.txt");
         std::fs::write(
             &path,
@@ -746,8 +770,7 @@ mod tests {
         assert_eq!(via_dfg, via_workload);
         // A file path containing `:` (no registered scheme before it)
         // still loads as a path, as the old loader did.
-        let dir = std::env::temp_dir().join("rchls-cli-colon:dir");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("colon:dir");
         let path = dir.join("t.dfg");
         std::fs::write(&path, "graph t\nop a add\nop b add\na -> b\n").unwrap();
         let out = run(&s(&["dot", "--dfg", path.to_str().unwrap()])).unwrap();
@@ -790,9 +813,11 @@ mod tests {
         assert!(out.contains("\"workload\": \"random:14x4@2\""));
     }
 
-    fn write_batch_fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join("rchls-cli-batch-test");
-        std::fs::create_dir_all(&dir).unwrap();
+    /// Writes a batch job file (and the DFG file one job names) into a
+    /// fresh [`TestDir`]; keep the returned directory alive while the
+    /// files are in use.
+    fn write_batch_fixture() -> (TestDir, std::path::PathBuf) {
+        let dir = TestDir::new("batch-test");
         let dfg_path = dir.join("chain.dfg");
         std::fs::write(
             &dfg_path,
@@ -813,12 +838,12 @@ mod tests {
             dfg_path.display()
         );
         std::fs::write(&jobs_path, jobs).unwrap();
-        (jobs_path, dfg_path)
+        (dir, jobs_path)
     }
 
     #[test]
     fn batch_runs_mixed_sources_and_is_jobs_invariant() {
-        let (jobs_path, _) = write_batch_fixture();
+        let (_dir, jobs_path) = write_batch_fixture();
         let path = jobs_path.to_str().unwrap();
         let reference = run(&s(&["batch", path, "--jobs", "1"])).unwrap();
         // Feasible jobs carry reports with diagnostics; failures carry
@@ -873,7 +898,7 @@ mod tests {
 
     #[test]
     fn batch_output_is_cache_budget_and_jobs_invariant() {
-        let (jobs_path, _) = write_batch_fixture();
+        let (_dir, jobs_path) = write_batch_fixture();
         let path = jobs_path.to_str().unwrap();
         let reference = run(&s(&["batch", path, "--jobs", "1"])).unwrap();
         // Eviction must never change a byte of the report: the full
@@ -941,8 +966,7 @@ mod tests {
         assert!(pong.contains("\"protocol\": 1"), "{pong}");
 
         // Params ride in from a JSON file.
-        let dir = std::env::temp_dir().join("rchls-cli-request-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("request-test");
         let params = dir.join("synth.json");
         std::fs::write(
             &params,
@@ -978,8 +1002,7 @@ mod tests {
 
     #[test]
     fn batch_rejects_malformed_job_files() {
-        let dir = std::env::temp_dir().join("rchls-cli-batch-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("batch-test");
         let path = dir.join("bad.json");
         std::fs::write(&path, r#"[{"workload": "fir16"}]"#).unwrap();
         let err = run(&s(&["batch", path.to_str().unwrap()])).unwrap_err();

@@ -251,3 +251,26 @@ fn sharded_sweeps_merge_into_the_unsharded_document() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn operation_free_dfg_files_are_refused_with_a_teaching_error() {
+    let dir = scratch("empty-dfg");
+    let path = dir.join("empty.dfg");
+    std::fs::write(&path, "# a graph with no operations\ngraph empty\n").unwrap();
+    let spec = format!("file:{}", path.display());
+    // Default bounds (derived from the graph) and explicit bounds alike:
+    // a named error and exit 1, never a panic.
+    for extra in [&[][..], &["--latency", "4", "--area", "4"][..]] {
+        let mut args = vec!["synth", "--workload", spec.as_str()];
+        args.extend_from_slice(extra);
+        let out = rchls(&args);
+        assert_eq!(out.status.code(), Some(1), "rchls {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error:"), "{stderr}");
+        assert!(stderr.contains("empty.dfg"), "{stderr}");
+        assert!(stderr.contains("no operations"), "{stderr}");
+        assert!(stderr.contains("op <label> <kind>"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

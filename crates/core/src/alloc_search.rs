@@ -89,90 +89,126 @@ pub fn enumerate_allocations_with_cap(
     library: &Library,
     area_bound: u32,
 ) -> (Vec<Vec<(VersionId, u32)>>, bool) {
-    let used: Vec<OpClass> = OpClass::ALL
-        .into_iter()
-        .filter(|&c| dfg.count_class(c) > 0)
-        .collect();
-    let versions: Vec<VersionId> = used
-        .iter()
-        .flat_map(|&c| library.versions_of(c).map(|(id, _)| id))
-        .collect();
-    let class_ops = |c: OpClass| -> u32 { u32::try_from(dfg.count_class(c)).unwrap_or(u32::MAX) };
-    /// The enumeration's accumulator: the allocations plus whether the
-    /// defensive cap truncated them.
-    struct Enumeration {
-        out: Vec<Vec<(VersionId, u32)>>,
-        capped: bool,
-    }
-    let mut acc = Enumeration {
-        out: Vec::new(),
-        capped: false,
-    };
-    let mut counts: Vec<u32> = vec![0; versions.len()];
-    fn recurse(
-        versions: &[VersionId],
-        library: &Library,
-        idx: usize,
-        area_left: u32,
-        counts: &mut Vec<u32>,
-        acc: &mut Enumeration,
-        class_cap: &dyn Fn(OpClass) -> u32,
-    ) {
-        if acc.out.len() >= MAX_ALLOCATIONS {
-            // Every recursion path ends in a push, so reaching the cap
-            // with calls still pending means real allocations are being
-            // dropped — record it instead of truncating silently.
-            acc.capped = true;
-            return;
-        }
-        if idx == versions.len() {
-            acc.out.push(
-                versions
-                    .iter()
-                    .zip(counts.iter())
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(&v, &c)| (v, c))
-                    .collect(),
-            );
-            return;
-        }
-        let v = versions[idx];
-        let ver = library.version(v);
-        let unit = ver.area();
-        let cap = (area_left / unit).min(class_cap(ver.class()));
-        for c in 0..=cap {
-            counts[idx] = c;
-            recurse(
-                versions,
-                library,
-                idx + 1,
-                area_left - c * unit,
-                counts,
-                acc,
-                class_cap,
-            );
-        }
-        counts[idx] = 0;
-    }
-    recurse(
-        &versions,
-        library,
-        0,
-        area_bound,
-        &mut counts,
-        &mut acc,
-        &|c| class_ops(c),
-    );
-    let Enumeration { mut out, capped } = acc;
-    // Keep only allocations covering every used class.
-    out.retain(|alloc| {
-        used.iter().all(|&c| {
-            alloc
-                .iter()
-                .any(|&(v, n)| n > 0 && library.version(v).class() == c)
-        })
+    let versions = allocation_versions(dfg, library);
+    let mut out = Vec::new();
+    let capped = for_each_allocation(dfg, library, &versions, area_bound, &mut |counts| {
+        out.push(allocation_pairs(&versions, counts).collect());
     });
     (out, capped)
+}
+
+/// The `(version, count)` pairs of a count row, zero counts dropped.
+fn allocation_pairs<'a>(
+    versions: &'a [VersionId],
+    counts: &'a [u32],
+) -> impl Iterator<Item = (VersionId, u32)> + 'a {
+    versions
+        .iter()
+        .zip(counts)
+        .filter(|(_, &c)| c > 0)
+        .map(|(&v, &c)| (v, c))
+}
+
+/// The versions an allocation may draw on: every library version of
+/// every class `dfg` uses, grouped by class in [`OpClass::ALL`] order.
+/// Allocation count rows are indexed like this list.
+fn allocation_versions(dfg: &Dfg, library: &Library) -> Vec<VersionId> {
+    OpClass::ALL
+        .into_iter()
+        .filter(|&c| dfg.count_class(c) > 0)
+        .flat_map(|c| library.versions_of(c).map(|(id, _)| id))
+        .collect()
+}
+
+/// Walks every unit allocation over `versions` (counts per version) with
+/// total area within `area_bound` and no more units of a class than the
+/// graph has operations of it, calling `visit` with the count row of each
+/// one that covers every class the graph uses. Returns `true` when the
+/// defensive cap truncated the walk.
+///
+/// The cap counts *leaves* — every complete count row, covering or not —
+/// so what it truncates does not depend on what `visit` keeps.
+fn for_each_allocation(
+    dfg: &Dfg,
+    library: &Library,
+    versions: &[VersionId],
+    area_bound: u32,
+    visit: &mut dyn FnMut(&[u32]),
+) -> bool {
+    struct Walk<'a> {
+        library: &'a Library,
+        versions: &'a [VersionId],
+        /// Per version: the graph's operation count of its class.
+        unit_cap: Vec<u32>,
+        /// Per version: its class's bit in the coverage mask.
+        class_bit: Vec<u8>,
+        /// The mask of every class the graph uses.
+        used: u8,
+        counts: Vec<u32>,
+        leaves: usize,
+        capped: bool,
+    }
+    fn recurse(walk: &mut Walk<'_>, idx: usize, area_left: u32, visit: &mut dyn FnMut(&[u32])) {
+        if walk.leaves >= MAX_ALLOCATIONS {
+            // Every recursion path ends in a leaf, so reaching the cap
+            // with calls still pending means real allocations are being
+            // dropped — record it instead of truncating silently.
+            walk.capped = true;
+            return;
+        }
+        if idx == walk.versions.len() {
+            walk.leaves += 1;
+            let covered = walk
+                .counts
+                .iter()
+                .zip(&walk.class_bit)
+                .filter(|(&c, _)| c > 0)
+                .fold(0u8, |mask, (_, &bit)| mask | bit);
+            if covered == walk.used {
+                visit(&walk.counts);
+            }
+            return;
+        }
+        let ver = walk.library.version(walk.versions[idx]);
+        let unit = ver.area();
+        let cap = (area_left / unit).min(walk.unit_cap[idx]);
+        for c in 0..=cap {
+            walk.counts[idx] = c;
+            recurse(walk, idx + 1, area_left - c * unit, visit);
+        }
+        walk.counts[idx] = 0;
+    }
+    debug_assert!(OpClass::ALL.len() <= 8, "coverage uses a u8 mask");
+    let bit = |c: OpClass| -> u8 {
+        1 << OpClass::ALL
+            .iter()
+            .position(|&x| x == c)
+            .expect("every class is listed in OpClass::ALL")
+    };
+    let mut walk = Walk {
+        library,
+        versions,
+        unit_cap: versions
+            .iter()
+            .map(|&v| {
+                let ops = dfg.count_class(library.version(v).class());
+                u32::try_from(ops).unwrap_or(u32::MAX)
+            })
+            .collect(),
+        class_bit: versions
+            .iter()
+            .map(|&v| bit(library.version(v).class()))
+            .collect(),
+        used: OpClass::ALL
+            .into_iter()
+            .filter(|&c| dfg.count_class(c) > 0)
+            .fold(0, |mask, c| mask | bit(c)),
+        counts: vec![0; versions.len()],
+        leaves: 0,
+        capped: false,
+    };
+    recurse(&mut walk, 0, area_bound, visit);
+    walk.capped
 }
 
 /// Version-aware list scheduling against a fixed allocation.
@@ -425,45 +461,71 @@ fn schedule_on_allocation_in(
 
 /// Full allocation search: the most reliable feasible design over all
 /// enumerated allocations, or `None` if none schedules within the bounds.
-///
-/// The scan produces **exactly** the design that trying every enumerated
-/// allocation in order and keeping the first one attaining the maximum
-/// reliability would produce, but visits allocations by descending
-/// *capacity-aware reliability upper bound* so almost all of them die to
-/// two sound prunes:
-///
-/// * *Latency lower bound* (exact) — the critical path weighted by each
-///   class's fastest delay *available in the allocation* floors every
-///   achievable latency; an allocation whose floor exceeds
-///   `bounds.latency` would make [`schedule_on_allocation`] return
-///   `None` anyway.
-/// * *Capacity-aware reliability upper bound* — a unit of version `v`
-///   executes at most `⌊Ld / delay(v)⌋` operations within the latency
-///   budget, so each class's most reliable versions can cover only that
-///   many nodes; the bound gives every node the best version capacity
-///   admits. Because the bound is evaluated in floating point, the prune
-///   keeps a conservative relative margin (scaled to the node count's
-///   worst-case rounding error), so an allocation is skipped only when
-///   it *provably* cannot reach the incumbent's reliability — ties and
-///   the original scan's first-index tie-breaking are unaffected.
+/// Equivalent to [`best_allocation_design_diag`] at floor 0 with the
+/// diagnostics discarded.
 pub fn best_allocation_design(
     dfg: &Dfg,
     library: &Library,
     bounds: Bounds,
 ) -> Option<(Assignment, Schedule, Binding)> {
     let mut diagnostics = Diagnostics::default();
-    best_allocation_design_diag(dfg, library, bounds, &mut diagnostics)
+    best_allocation_design_diag(dfg, library, bounds, 0.0, &mut diagnostics)
 }
 
-/// [`best_allocation_design`] that also records search-quality facts in
-/// `diagnostics` — currently whether the enumeration cap truncated the
+/// The allocation search behind the refine portfolio, seeded with a
+/// reliability `floor` the result must match, and recording search
+/// facts in `diagnostics` — whether the enumeration cap truncated the
 /// candidate set ([`Diagnostics::alloc_cap_hit`]), so a capped search is
 /// reported instead of silently presenting a partial optimum as the
 /// global one.
+///
+/// # The floor contract
+///
+/// Let `naive` be the design that trying every enumerated allocation in
+/// order and keeping the first one attaining the maximum reliability
+/// produces. The search returns exactly `naive` when its reliability is
+/// `>= floor`, and `None` otherwise. At floor 0 it is the plain search.
+/// The refine portfolio passes the best reliability among its other
+/// starts: it keeps the most reliable start, and on a tie the
+/// allocation design (pushed last) wins, so a design below the floor
+/// could never have been chosen and one at or above it still is — the
+/// portfolio's pick is unchanged, while the search stops paying for
+/// allocations that cannot win.
+///
+/// # How it stays exact
+///
+/// The scan visits allocations by descending *capacity-aware reliability
+/// upper bound* so almost all of them die to sound prunes:
+///
+/// * *Capacity-aware reliability upper bound* — a unit of version `v`
+///   executes at most `⌊Ld / delay(v)⌋` operations within the latency
+///   budget, so each class's most reliable versions can cover only that
+///   many nodes; the bound gives every node the best version capacity
+///   admits. Because the bound is evaluated in floating point, every
+///   prune on it keeps a conservative relative margin (scaled to the
+///   node count's worst-case rounding error), so an allocation is skipped
+///   only when it *provably* cannot reach the threshold — ties and the
+///   first-index tie-breaking are unaffected. Against the floor this
+///   runs at the enumeration leaf: an allocation whose bound is below
+///   `floor × margin` is never stored, sorted, or scheduled. Against the
+///   incumbent it runs during the scan.
+/// * *Latency lower bound* (exact) — the critical path weighted by each
+///   class's fastest delay *available in the allocation* floors every
+///   achievable latency; an allocation whose floor exceeds
+///   `bounds.latency` would make [`schedule_on_allocation`] return
+///   `None` anyway.
+/// * *Ceiling* — once the incumbent assigns every node its class's most
+///   reliable version, only earlier-enumerated allocations (which could
+///   tie and take the first-index rule) still need evaluating.
+///
+/// Dropping allocations at the leaf never changes which ones the cap
+/// truncates: the cap counts every enumerated leaf, kept or not, so
+/// `alloc_cap_hit` is the same at every floor.
 pub fn best_allocation_design_diag(
     dfg: &Dfg,
     library: &Library,
     bounds: Bounds,
+    floor: f64,
     diagnostics: &mut Diagnostics,
 ) -> Option<(Assignment, Schedule, Binding)> {
     let span = rchls_telemetry::span!(timed: "alloc");
@@ -473,6 +535,7 @@ pub fn best_allocation_design_diag(
         return None;
     }
     let slots = OpClass::ALL.len();
+    debug_assert!(slots <= 8, "class_mins uses a fixed-width row");
     let class_slot = |c: OpClass| -> usize {
         OpClass::ALL
             .iter()
@@ -483,41 +546,62 @@ pub fn best_allocation_design_diag(
         .iter()
         .map(|&c| dfg.count_class(c) as u64)
         .collect();
-    let (allocations, capped) = enumerate_allocations_with_cap(dfg, library, bounds.area);
-    diagnostics.alloc_cap_hit |= capped;
+    let versions = allocation_versions(dfg, library);
+    // Per version: class slot, delay, reliability, and how many nodes one
+    // unit can run within the latency budget.
+    let version_slot: Vec<usize> = versions
+        .iter()
+        .map(|&v| class_slot(library.version(v).class()))
+        .collect();
+    let delay: Vec<u32> = versions
+        .iter()
+        .map(|&v| library.version(v).delay())
+        .collect();
+    let reliability: Vec<f64> = versions
+        .iter()
+        .map(|&v| library.version(v).reliability().value())
+        .collect();
+    let unit_capacity: Vec<u64> = delay
+        .iter()
+        .map(|&d| u64::from(bounds.latency / d.max(1)))
+        .collect();
+    // Per class: its version positions, most reliable first (a stable
+    // sort, so library order breaks reliability ties).
+    let mut by_reliability: Vec<Vec<usize>> = vec![Vec::new(); slots];
+    for (i, &slot) in version_slot.iter().enumerate() {
+        by_reliability[slot].push(i);
+    }
+    for order in &mut by_reliability {
+        order.sort_by(|&a, &b| reliability[b].total_cmp(&reliability[a]));
+    }
+    // Worst-case relative rounding slack of the bound product vs the
+    // exact fold `design_reliability` performs.
+    let margin = 1.0 - (dfg.node_count() as f64 + 8.0) * 4.0 * f64::EPSILON;
+    let floor_threshold = floor * margin;
 
-    // Per-allocation metadata, computed once: the capacity-aware
-    // reliability upper bound and the per-class fastest delay.
-    let mut min_delay = vec![u32::MAX; slots];
-    // Per class: (reliability, node capacity) per allocated version.
-    let mut caps: Vec<Vec<(f64, u64)>> = vec![Vec::new(); slots];
-    let mut metas: Vec<(f64, usize)> = Vec::with_capacity(allocations.len());
-    let mut class_mins: Vec<[u32; 8]> = Vec::with_capacity(allocations.len());
-    debug_assert!(slots <= 8, "class_mins uses a fixed-width row");
-    for (idx, alloc) in allocations.iter().enumerate() {
-        min_delay.iter_mut().for_each(|d| *d = u32::MAX);
-        caps.iter_mut().for_each(Vec::clear);
-        for &(v, count) in alloc {
-            if count == 0 {
-                continue;
-            }
-            let ver = library.version(v);
-            let slot = class_slot(ver.class());
-            min_delay[slot] = min_delay[slot].min(ver.delay());
-            let capacity = u64::from(count) * u64::from(bounds.latency / ver.delay().max(1));
-            caps[slot].push((ver.reliability().value(), capacity));
-        }
+    // The allocations that clear the floor: flat count rows, the
+    // per-class fastest delay, and (bound, enumeration index, row).
+    let stride = versions.len();
+    let mut rows: Vec<u32> = Vec::new();
+    let mut class_mins: Vec<[u32; 8]> = Vec::new();
+    let mut metas: Vec<(f64, usize, usize)> = Vec::new();
+    let mut enumerated = 0usize;
+    let capped = for_each_allocation(dfg, library, &versions, bounds.area, &mut |counts| {
+        let idx = enumerated;
+        enumerated += 1;
         // Give every node the most reliable version capacity admits.
         let mut ub = 1.0f64;
-        for (slot, nodes) in class_nodes.iter().enumerate() {
-            let mut left = *nodes;
+        for (slot, &nodes) in class_nodes.iter().enumerate() {
+            let mut left = nodes;
             if left == 0 {
                 continue;
             }
-            caps[slot].sort_by(|(ra, _), (rb, _)| rb.total_cmp(ra));
-            for &(rel, capacity) in &caps[slot] {
-                let here = left.min(capacity);
-                ub *= rel.powi(i32::try_from(here).unwrap_or(i32::MAX));
+            for &i in &by_reliability[slot] {
+                if counts[i] == 0 {
+                    continue;
+                }
+                let here = left.min(u64::from(counts[i]) * unit_capacity[i]);
+                ub *= reliability[i].powi(i32::try_from(here).unwrap_or(i32::MAX));
                 left -= here;
                 if left == 0 {
                     break;
@@ -531,19 +615,27 @@ pub fn best_allocation_design_diag(
                 break;
             }
         }
-        metas.push((ub, idx));
-        let mut row = [u32::MAX; 8];
-        row[..slots].copy_from_slice(&min_delay);
-        class_mins.push(row);
-    }
+        if ub < floor_threshold {
+            return;
+        }
+        let mut mins = [u32::MAX; 8];
+        for (i, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                mins[version_slot[i]] = mins[version_slot[i]].min(delay[i]);
+            }
+        }
+        metas.push((ub, idx, class_mins.len()));
+        class_mins.push(mins);
+        rows.extend_from_slice(counts);
+    });
+    diagnostics.alloc_cap_hit |= capped;
     // Highest bound first; enumeration index breaks ties so the original
     // scan's tie winner (smallest index) is met first.
-    metas.sort_by(|(ua, ia), (ub, ib)| ub.total_cmp(ua).then(ia.cmp(ib)));
+    metas.sort_by(|(ua, ia, _), (ub, ib, _)| ub.total_cmp(ua).then(ia.cmp(ib)));
 
-    // Worst-case relative rounding slack of the bound product vs the
-    // exact fold `design_reliability` performs.
-    let margin = 1.0 - (dfg.node_count() as f64 + 8.0) * 4.0 * f64::EPSILON;
     let mut longest = vec![0u32; dfg.node_count()];
+    let mut allocation: Vec<(VersionId, u32)> = Vec::new();
+    let mut list_scheduled = 0u64;
     let mut best: Option<(f64, usize, (Assignment, Schedule, Binding))> = None;
     // Set once the incumbent assigns every node its class's most
     // reliable version. The serial-product fold is monotone in each
@@ -553,7 +645,7 @@ pub fn best_allocation_design_diag(
     // and a tie only wins the (max reliability, first index) rule from a
     // smaller enumeration index.
     let mut best_is_ceiling = false;
-    for &(ub, idx) in &metas {
+    for &(ub, idx, row) in &metas {
         if let Some((brel, bidx, _)) = &best {
             // Incumbent prune: sound because `ub / margin` dominates
             // every reliability the allocation's assignments can
@@ -574,7 +666,7 @@ pub fn best_allocation_design_diag(
             }
         }
         // Exact latency lower bound.
-        let mins = &class_mins[idx];
+        let mins = &class_mins[row];
         let mut lb = 0u32;
         for &n in &scratch.topo {
             let down = dfg
@@ -591,13 +683,15 @@ pub fn best_allocation_design_diag(
         if lb > bounds.latency {
             continue;
         }
-        if let Some(cand) = schedule_on_allocation_in(
-            dfg,
-            library,
-            &allocations[idx],
-            bounds.latency,
-            &mut scratch,
-        ) {
+        allocation.clear();
+        allocation.extend(allocation_pairs(
+            &versions,
+            &rows[row * stride..(row + 1) * stride],
+        ));
+        list_scheduled += 1;
+        if let Some(cand) =
+            schedule_on_allocation_in(dfg, library, &allocation, bounds.latency, &mut scratch)
+        {
             debug_assert!(cand.2.total_area(library) <= bounds.area);
             let rel = cand.0.design_reliability(library).value();
             let better = best
@@ -612,7 +706,12 @@ pub fn best_allocation_design_diag(
             }
         }
     }
-    best.map(|(.., d)| d)
+    crate::obs::alloc_search_enumerated().add(enumerated as u64);
+    crate::obs::alloc_search_floor_pruned().add((enumerated - metas.len()) as u64);
+    crate::obs::alloc_search_list_scheduled().add(list_scheduled);
+    // The floor prune is sound but not tight: a kept allocation can
+    // still evaluate below the floor, and then so can the winner.
+    best.filter(|(rel, ..)| *rel >= floor).map(|(.., d)| d)
 }
 
 #[cfg(test)]
@@ -705,13 +804,37 @@ mod tests {
         assert_eq!(allocs, enumerate_allocations(&wide, &lib, 10_000));
     }
 
+    /// The naive reference: schedule every allocation in enumeration
+    /// order, keep the first one attaining the maximum reliability.
+    fn naive_best(dfg: &Dfg, lib: &Library, bounds: Bounds) -> Option<(f64, Design)> {
+        let mut best: Option<(f64, usize, Design)> = None;
+        for (idx, alloc) in enumerate_allocations(dfg, lib, bounds.area)
+            .iter()
+            .enumerate()
+        {
+            if let Some(cand) = schedule_on_allocation(dfg, lib, alloc, bounds.latency) {
+                let rel = cand.0.design_reliability(lib).value();
+                if best
+                    .as_ref()
+                    .is_none_or(|(brel, bidx, _)| rel > *brel || (rel == *brel && idx < *bidx))
+                {
+                    best = Some((rel, idx, cand));
+                }
+            }
+        }
+        best.map(|(rel, _, d)| (rel, d))
+    }
+
+    type Design = (Assignment, Schedule, Binding);
+
     #[test]
     fn pruned_search_matches_the_naive_full_scan() {
-        // The documented contract: the bound-guided scan returns exactly
-        // the design the naive "schedule every allocation in enumeration
-        // order, keep the first one attaining the maximum reliability"
-        // scan returns. Slack bounds exercise the ceiling prune (the
-        // all-most-reliable incumbent), tight bounds the margin prune.
+        // The documented contract: the bound-guided scan at floor `f`
+        // returns exactly the naive scan's winner when it reaches `f`,
+        // and nothing otherwise. Slack bounds exercise the ceiling prune
+        // (the all-most-reliable incumbent), tight bounds the margin
+        // prune; the floors straddle the winner's reliability by one ulp
+        // on each side.
         let lib = Library::table1();
         for (nodes, layers, seed) in [(10usize, 3usize, 0u64), (14, 4, 3), (12, 3, 7)] {
             let g = rchls_workloads::random_layered_dfg(&rchls_workloads::RandomDfgConfig {
@@ -725,28 +848,58 @@ mod tests {
                 Bounds::new(layers as u32 + 3, 8),
                 Bounds::new(2 * layers as u32 + 4, 16),
             ] {
-                let naive = {
-                    let mut best: Option<(f64, usize, (Assignment, Schedule, Binding))> = None;
-                    for (idx, alloc) in enumerate_allocations(&g, &lib, bounds.area)
-                        .iter()
-                        .enumerate()
-                    {
-                        if let Some(cand) = schedule_on_allocation(&g, &lib, alloc, bounds.latency)
-                        {
-                            let rel = cand.0.design_reliability(&lib).value();
-                            if best.as_ref().is_none_or(|(brel, bidx, _)| {
-                                rel > *brel || (rel == *brel && idx < *bidx)
-                            }) {
-                                best = Some((rel, idx, cand));
-                            }
-                        }
-                    }
-                    best.map(|(.., d)| d)
+                let naive = naive_best(&g, &lib, bounds);
+                let floors = match &naive {
+                    Some((rel, _)) => vec![
+                        0.0,
+                        f64::from_bits(rel.to_bits() - 1),
+                        *rel,
+                        f64::from_bits(rel.to_bits() + 1),
+                        1.0,
+                    ],
+                    None => vec![0.0, 0.5, 1.0],
                 };
-                let pruned = best_allocation_design(&g, &lib, bounds);
-                assert_eq!(pruned, naive, "{nodes}x{layers}@{seed} at {bounds}");
+                assert_eq!(
+                    best_allocation_design(&g, &lib, bounds),
+                    naive.clone().map(|(_, d)| d),
+                    "{nodes}x{layers}@{seed} at {bounds}"
+                );
+                for floor in floors {
+                    let expected = naive
+                        .clone()
+                        .filter(|(rel, _)| *rel >= floor)
+                        .map(|(_, d)| d);
+                    let mut diagnostics = Diagnostics::default();
+                    let pruned =
+                        best_allocation_design_diag(&g, &lib, bounds, floor, &mut diagnostics);
+                    assert_eq!(
+                        pruned, expected,
+                        "{nodes}x{layers}@{seed} at {bounds}, floor {floor}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn floor_never_changes_the_cap_flag() {
+        // The cap counts enumeration leaves whether or not the floor
+        // keeps them, so a search that drops every allocation still
+        // reports the truncation the full enumeration hits.
+        let lib = Library::table1();
+        let wide = rchls_workloads::random_layered_dfg(&rchls_workloads::RandomDfgConfig {
+            nodes: 48,
+            layers: 4,
+            seed: 11,
+            ..Default::default()
+        });
+        let bounds = Bounds::new(8, 10_000);
+        let (_, capped) = enumerate_allocations_with_cap(&wide, &lib, bounds.area);
+        assert!(capped);
+        let mut diagnostics = Diagnostics::default();
+        let design = best_allocation_design_diag(&wide, &lib, bounds, 1.0, &mut diagnostics);
+        assert!(design.is_none(), "no design reaches reliability 1");
+        assert!(diagnostics.alloc_cap_hit);
     }
 
     #[test]
@@ -755,7 +908,7 @@ mod tests {
         let lib = Library::table1();
         let bounds = Bounds::new(4, 4);
         let mut diagnostics = Diagnostics::default();
-        let diag = best_allocation_design_diag(&g, &lib, bounds, &mut diagnostics);
+        let diag = best_allocation_design_diag(&g, &lib, bounds, 0.0, &mut diagnostics);
         let plain = best_allocation_design(&g, &lib, bounds);
         assert_eq!(diag, plain);
         // An uncapped enumeration reports a complete search.

@@ -59,10 +59,13 @@ impl StartsEntry {
 
 /// One interned allocation-first design (see
 /// [`crate::alloc_search::best_allocation_design_diag`]) plus the
-/// completeness flag its search reported.
+/// completeness flag its search reported. The floor's bits are a request
+/// fact like the bounds: the same bounds at another floor is another
+/// search with another answer.
 #[derive(Debug, Clone)]
 struct AllocEntry {
     bounds: Bounds,
+    floor_bits: u64,
     design: Option<(Assignment, Schedule, Binding)>,
     cap_hit: bool,
 }
@@ -81,8 +84,8 @@ impl AllocEntry {
 /// A thread-safe memo table of refine-portfolio ingredients: the uniform
 /// feasible start pools (keyed by a content fingerprint of `(dfg,
 /// library, bounds, scheduler id, binder id)`) and the allocation-first
-/// designs (keyed by `(dfg, library, bounds)` — the allocation search
-/// runs its own list scheduler, independent of the flow's passes).
+/// designs (keyed by `(dfg, library, bounds, floor)` — the allocation
+/// search runs its own list scheduler, independent of the flow's passes).
 ///
 /// Mirrors the [`SynthCache`](crate::engine::SynthCache) locking discipline: the
 /// lock is never held across a computation, racing workers compute the
@@ -250,9 +253,9 @@ impl StartsCache {
 }
 
 impl StartsCache {
-    /// The allocation-first portfolio design for `synth` at `bounds`,
-    /// interned per `(dfg, library, bounds)`: the design (or its
-    /// absence) and the search's cap-hit flag are recorded into
+    /// The allocation-first portfolio design for `synth` at `bounds` and
+    /// `floor`, interned per `(dfg, library, bounds, floor)`: the design
+    /// (or its absence) and the search's cap-hit flag are recorded into
     /// `diagnostics` exactly as a fresh
     /// [`best_allocation_design_diag`](crate::alloc_search::best_allocation_design_diag)
     /// run would record them, so reports are byte-identical across cache
@@ -261,17 +264,20 @@ impl StartsCache {
         &self,
         synth: &Synthesizer<'_>,
         bounds: Bounds,
+        floor: f64,
         diagnostics: &mut Diagnostics,
     ) -> Option<(Assignment, Schedule, Binding)> {
+        let floor_bits = floor.to_bits();
         let mut fp = Fingerprint::new();
         fp.update("alloc-design");
         fp.update(synth.dfg());
         fp.update(synth.library());
         fp.update(&bounds);
+        fp.update(&floor_bits);
         let key = fp.finish();
 
         if let Some(entry) = crate::sync::lock_unpoisoned(&self.alloc).get(key) {
-            if entry.bounds == bounds {
+            if entry.bounds == bounds && entry.floor_bits == floor_bits {
                 self.alloc_hits.fetch_add(1, Ordering::Relaxed);
                 crate::obs::alloc_cache_hits().incr();
                 diagnostics.alloc_cap_hit |= entry.cap_hit;
@@ -284,6 +290,7 @@ impl StartsCache {
                 synth.dfg(),
                 synth.library(),
                 bounds,
+                floor,
                 diagnostics,
             );
         }
@@ -295,11 +302,13 @@ impl StartsCache {
             synth.dfg(),
             synth.library(),
             bounds,
+            floor,
             &mut fresh,
         );
         diagnostics.alloc_cap_hit |= fresh.alloc_cap_hit;
         let entry = AllocEntry {
             bounds,
+            floor_bits,
             design: design.clone(),
             cap_hit: fresh.alloc_cap_hit,
         };
@@ -377,5 +386,30 @@ mod tests {
         .unwrap();
         let _ = cache.get_or_compute(&force, bounds).unwrap();
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn alloc_designs_at_two_floors_never_serve_each_other() {
+        let dfg = rchls_workloads::figure4a();
+        let lib = Library::table1();
+        let cache = StartsCache::new();
+        let synth = Synthesizer::new(&dfg, &lib);
+        let bounds = Bounds::new(6, 6);
+        let lookup = |floor: f64| {
+            let mut diagnostics = Diagnostics::default();
+            cache.alloc_design(&synth, bounds, floor, &mut diagnostics)
+        };
+        // Floor 0 finds the design; floor 1 (no design reaches it) does
+        // not — and each is computed fresh the first time.
+        let open = lookup(0.0);
+        assert!(open.is_some());
+        assert!(lookup(1.0).is_none());
+        assert_eq!(cache.alloc_stats().misses, 2);
+        assert_eq!(cache.alloc_seen_len(), 2);
+        // Repeats hit their own entries and answer as before.
+        assert_eq!(lookup(1.0), None);
+        assert_eq!(lookup(0.0), open);
+        assert_eq!(cache.alloc_stats().hits, 2);
+        assert_eq!(cache.alloc_stats().misses, 2);
     }
 }

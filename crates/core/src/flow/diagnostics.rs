@@ -24,7 +24,12 @@ pub struct Diagnostics {
     pub loop_iterations: u32,
     /// Candidate-pool sizes observed along the run, in order: the victim
     /// candidates of each latency-loop iteration, then (for refining
-    /// strategies) the size of the starting-design portfolio.
+    /// strategies) the size of the starting-design portfolio. The
+    /// portfolio's allocation-first slot counts only when that design
+    /// reaches the portfolio's floor — the best reliability among the
+    /// other starts (see
+    /// [`crate::alloc_search::best_allocation_design_diag`]); a design
+    /// below it could never be picked, so the search does not return it.
     pub candidate_pool_sizes: Vec<u32>,
     /// Version upgrades committed by the refinement pass.
     pub refine_upgrades: u32,

@@ -102,6 +102,14 @@ fn sort_queue(moves: &mut [MoveCandidate]) {
 /// uniform-start pool (the fast pass) or a fresh recompute (the
 /// reference) — the pools are identical by construction, which the
 /// engine determinism suite checks.
+///
+/// The allocation search runs last, seeded with the best reliability
+/// among the other members as its floor: it returns its design only when
+/// that design reaches the floor. The pick is unchanged by this — the
+/// allocation design is pushed last and `max_by` keeps the last of equal
+/// maxima, so it wins exactly when it reaches the floor — but the pool
+/// size recorded in [`Diagnostics::candidate_pool_sizes`] counts the
+/// allocation slot only then.
 fn portfolio_best(
     synth: &Synthesizer<'_>,
     figure6: Result<FlowState, SynthesisError>,
@@ -111,16 +119,25 @@ fn portfolio_best(
 ) -> Result<FlowState, SynthesisError> {
     let dfg = synth.dfg();
     let library = synth.library();
+    let reliability = |state: &FlowState| state.assignment.design_reliability(library).value();
     let mut candidates: Vec<FlowState> = Vec::new();
     if let Ok(x) = &figure6 {
         candidates.push(x.clone());
     }
-    let alloc = if memoized_starts {
+    if memoized_starts {
         candidates.extend(synth.uniform_feasible_starts(bounds)?);
-        synth.alloc_design(bounds, diagnostics)
     } else {
         candidates.extend(synth.uniform_feasible_starts_fresh(bounds)?);
-        alloc_search::best_allocation_design_diag(dfg, library, bounds, diagnostics)
+    }
+    let floor = if seeding_disabled() {
+        0.0
+    } else {
+        candidates.iter().map(reliability).fold(0.0, f64::max)
+    };
+    let alloc = if memoized_starts {
+        synth.alloc_design(bounds, floor, diagnostics)
+    } else {
+        alloc_search::best_allocation_design_diag(dfg, library, bounds, floor, diagnostics)
     };
     candidates.extend(alloc.map(|(assignment, schedule, binding)| FlowState {
         assignment,
@@ -130,14 +147,26 @@ fn portfolio_best(
     diagnostics
         .candidate_pool_sizes
         .push(u32::try_from(candidates.len()).unwrap_or(u32::MAX));
-    let Some(best) = candidates.into_iter().max_by(|a, b| {
-        let ra = a.assignment.design_reliability(library).value();
-        let rb = b.assignment.design_reliability(library).value();
-        ra.total_cmp(&rb)
-    }) else {
+    let Some(best) = candidates
+        .into_iter()
+        .max_by(|a, b| reliability(a).total_cmp(&reliability(b)))
+    else {
         return Err(figure6.expect_err("no candidates implies figure6 failed"));
     };
     Ok(best)
+}
+
+/// Whether the portfolio runs the allocation search unseeded (floor 0).
+/// Never in production; the tests switch it on per thread to compare the
+/// seeded portfolio against the unseeded one.
+#[cfg(not(test))]
+fn seeding_disabled() -> bool {
+    false
+}
+
+#[cfg(test)]
+fn seeding_disabled() -> bool {
+    tests::UNSEEDED.with(std::cell::Cell::get)
 }
 
 /// The default portfolio-and-upgrade pass (id `"greedy"`), in its
@@ -534,6 +563,91 @@ mod tests {
     use crate::flow::FlowSpec;
     use rchls_dfg::{Dfg, DfgBuilder, OpKind};
     use rchls_reslib::Library;
+
+    thread_local! {
+        /// Per-thread switch behind [`seeding_disabled`].
+        pub(super) static UNSEEDED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `strategy` at `bounds` under the `refine` pass, with the
+    /// allocation search seeded (the default) or unseeded, through a
+    /// session starts cache when `cache` is given.
+    fn design_with(
+        dfg: &Dfg,
+        lib: &Library,
+        bounds: Bounds,
+        strategy: &str,
+        refine: &str,
+        cache: Option<&crate::engine::StartsCache>,
+        unseeded: bool,
+    ) -> Result<crate::SynthReport, String> {
+        let mut request = crate::flow::SynthRequest::new(dfg, lib, bounds)
+            .with_flow(FlowSpec::default().with_refine(refine));
+        if let Some(cache) = cache {
+            request = request.with_starts_cache(cache);
+        }
+        UNSEEDED.with(|u| u.set(unseeded));
+        let report = crate::flow::strategy(strategy)
+            .expect("built-in strategy")
+            .run(&request);
+        UNSEEDED.with(|u| u.set(false));
+        report.map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn seeded_portfolio_picks_the_unseeded_design() {
+        // The floor only drops allocation designs that could never win
+        // the portfolio, so `ours` and `combined` designs under both
+        // refine passes are byte-identical to an unseeded run — on the
+        // pinned random corpus and on a graph whose enumeration hits the
+        // cap at default bounds.
+        let lib = Library::table1();
+        let mut cases: Vec<(String, Dfg, Bounds)> = Vec::new();
+        for (shape, bounds) in [
+            ("8x3", Bounds::new(8, 8)),
+            ("32x6", Bounds::new(10, 6)),
+            ("64x8", Bounds::new(14, 24)),
+        ] {
+            for seed in 0..3u64 {
+                let spec = format!("random:{shape}@{seed}");
+                let w = rchls_workloads::load_workload(&spec).expect("pinned spec");
+                cases.push((spec, w.dfg, bounds));
+            }
+        }
+        // `rchls synth`'s default bounds for this graph (the loosest
+        // corner of its default exploration grid).
+        let capped = rchls_workloads::load_workload("random:128x16@0").expect("pinned spec");
+        cases.push((capped.spec, capped.dfg, Bounds::new(48, 64)));
+
+        for (spec, dfg, bounds) in &cases {
+            let cache = crate::engine::StartsCache::new();
+            for strategy in ["ours", "combined"] {
+                for refine in ["greedy", "greedy-reference"] {
+                    let what = format!("{strategy}/{refine} on {spec} at {bounds}");
+                    let unseeded = design_with(dfg, &lib, *bounds, strategy, refine, None, true);
+                    let seeded = design_with(dfg, &lib, *bounds, strategy, refine, None, false);
+                    let cached =
+                        design_with(dfg, &lib, *bounds, strategy, refine, Some(&cache), false);
+                    let design = |r: &Result<crate::SynthReport, String>| {
+                        r.as_ref().map(|r| r.design.clone()).map_err(Clone::clone)
+                    };
+                    let cap_hit = |r: &Result<crate::SynthReport, String>| {
+                        r.as_ref().map(|r| r.diagnostics.alloc_cap_hit).ok()
+                    };
+                    assert_eq!(design(&seeded), design(&unseeded), "{what}");
+                    assert_eq!(design(&cached), design(&unseeded), "{what} (cached)");
+                    assert_eq!(cap_hit(&seeded), cap_hit(&unseeded), "{what}");
+                }
+            }
+        }
+        let (_, capped, bounds) = cases.last().expect("the capped case");
+        let report = design_with(capped, &lib, *bounds, "ours", "greedy", None, false)
+            .expect("the loosest default corner is feasible");
+        assert!(
+            report.diagnostics.alloc_cap_hit,
+            "the ladder graph is capped"
+        );
+    }
 
     fn figure4a() -> Dfg {
         DfgBuilder::new("figure4a")

@@ -70,6 +70,19 @@ counter_handle!(
     /// `alloc_cache.misses` — allocation-first designs computed fresh.
     alloc_cache_misses, "alloc_cache.misses");
 counter_handle!(
+    /// `alloc_search.enumerated` — allocations the allocation-first
+    /// search enumerated (those covering every class the graph uses).
+    alloc_search_enumerated, "alloc_search.enumerated");
+counter_handle!(
+    /// `alloc_search.floor_pruned` — enumerated allocations dropped
+    /// because their reliability upper bound cannot reach the
+    /// portfolio's floor.
+    alloc_search_floor_pruned, "alloc_search.floor_pruned");
+counter_handle!(
+    /// `alloc_search.list_scheduled` — allocations the search actually
+    /// ran its list scheduler on.
+    alloc_search_list_scheduled, "alloc_search.list_scheduled");
+counter_handle!(
     /// `scratch_pool.lends` — arenas handed out by [`crate::ScratchPool`].
     scratch_pool_lends, "scratch_pool.lends");
 counter_handle!(

@@ -366,22 +366,26 @@ impl<'a> Synthesizer<'a> {
         Ok(out)
     }
 
-    /// The best allocation-first design for the refine portfolio —
-    /// answered from the session [`StartsCache`](crate::engine::StartsCache)
+    /// The best allocation-first design for the refine portfolio, if it
+    /// reaches `floor` (see
+    /// [`best_allocation_design_diag`](crate::alloc_search::best_allocation_design_diag))
+    /// — answered from the session [`StartsCache`](crate::engine::StartsCache)
     /// when one is attached (the search depends only on the graph,
-    /// library, and bounds), computed fresh otherwise. Either way the
-    /// search's completeness flag lands in `diagnostics`.
+    /// library, bounds, and floor), computed fresh otherwise. Either way
+    /// the search's completeness flag lands in `diagnostics`.
     pub(crate) fn alloc_design(
         &self,
         bounds: Bounds,
+        floor: f64,
         diagnostics: &mut Diagnostics,
     ) -> Option<(Assignment, Schedule, Binding)> {
         match self.starts {
-            Some(cache) => cache.alloc_design(self, bounds, diagnostics),
+            Some(cache) => cache.alloc_design(self, bounds, floor, diagnostics),
             None => crate::alloc_search::best_allocation_design_diag(
                 self.dfg,
                 self.library,
                 bounds,
+                floor,
                 diagnostics,
             ),
         }

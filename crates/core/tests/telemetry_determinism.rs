@@ -71,7 +71,8 @@ fn distinct_jobs() -> Vec<SynthJob> {
 }
 
 /// The deterministic counter subset: cache tallies over
-/// distinct-fingerprint jobs. Pool/executor counters are deliberately
+/// distinct-fingerprint jobs, and the allocation search's work counts
+/// (each distinct search runs exactly once). Pool/executor counters are deliberately
 /// excluded — lends and queue depths legitimately vary with scheduling.
 const DETERMINISTIC_COUNTERS: &[&str] = &[
     "synth_cache.hits",
@@ -81,6 +82,9 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "starts_cache.misses",
     "alloc_cache.hits",
     "alloc_cache.misses",
+    "alloc_search.enumerated",
+    "alloc_search.floor_pruned",
+    "alloc_search.list_scheduled",
 ];
 
 #[test]
@@ -124,6 +128,11 @@ fn deterministic_counters_match_across_worker_counts() {
     assert_eq!(get("synth_cache.hits"), jobs.len() as u64);
     assert_eq!(get("synth_cache.misses"), jobs.len() as u64);
     assert!(get("starts_cache.misses") > 0, "starts cache saw the batch");
+    assert!(
+        get("alloc_search.list_scheduled") <= get("alloc_search.enumerated"),
+        "only enumerated allocations are scheduled"
+    );
+    assert!(get("alloc_search.enumerated") > 0, "the alloc search ran");
 }
 
 #[test]

@@ -28,7 +28,8 @@ use crate::op::OpKind;
 ///
 /// Returns a [`ParseDfgError`] pinpointing the first malformed line,
 /// unknown operation kind, duplicate label, unknown edge endpoint, or
-/// dependence cycle.
+/// dependence cycle — or a text that declares no operation at all (an
+/// empty graph has no design to synthesize).
 ///
 /// # Examples
 ///
@@ -93,6 +94,14 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
     // Whole-graph problems have no single offending line (`line: 0`,
     // which `Display` omits). A cycle names the operation by the label
     // the file used, not the internal node id.
+    if dfg.is_empty() {
+        return Err(ParseDfgError {
+            line: 0,
+            message: "the graph has no operations; declare at least one with an \
+                      `op <label> <kind>` line (kind: add, sub, mul, div or cmp)"
+                .to_owned(),
+        });
+    }
     dfg.validate().map_err(|e| ParseDfgError {
         line: 0,
         message: match e {
@@ -178,6 +187,16 @@ mod tests {
         // *directive*, not the first line.
         let g = parse_dfg("# header\n\ngraph named\nop a add\n").unwrap();
         assert_eq!(g.name(), "named");
+    }
+
+    #[test]
+    fn graphs_without_operations_are_rejected() {
+        for text in ["", "# nothing here\n\n", "graph empty\n"] {
+            let e = parse_dfg(text).unwrap_err();
+            assert_eq!(e.line, 0, "{text:?}");
+            assert!(e.message.contains("no operations"), "{text:?}: {e}");
+            assert!(e.message.contains("op <label> <kind>"), "{text:?}: {e}");
+        }
     }
 
     #[test]

@@ -785,6 +785,9 @@ fn expired(deadline: Option<Instant>) -> bool {
 
 /// `synth`: params are one [`SynthJob`] map; the result is the same
 /// scrubbed outcome object an offline `rchls batch` emits for that job.
+/// A workload that does not resolve (unknown scheme, unreadable or
+/// malformed file, an operation-free graph) is a bad request, not an
+/// outcome: the one job has nothing to synthesize.
 fn synth_result(
     shared: &Arc<Shared>,
     params: &Value,
@@ -792,6 +795,10 @@ fn synth_result(
 ) -> Result<Value, Fail> {
     let job: SynthJob = serde_json::from_value(params)
         .map_err(|e| Fail::BadRequest(format!("invalid synth params: {e}")))?;
+    shared
+        .engine
+        .workload(&job.workload)
+        .map_err(|e| Fail::BadRequest(e.to_string()))?;
     check_deadline(deadline, "deadline expired before synthesis")?;
     let batch = shared.engine.run_batch(std::slice::from_ref(&job));
     Ok(serde_json::to_value(&batch.outcomes[0]))

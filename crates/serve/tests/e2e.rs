@@ -212,6 +212,45 @@ fn expired_deadlines_answer_deadline_exceeded() {
 }
 
 #[test]
+fn operation_free_workloads_get_bad_request() {
+    let dir = std::env::temp_dir().join(format!("rchls-serve-e2e-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("empty.dfg");
+    std::fs::write(&path, "graph empty\n").unwrap();
+    let spec = format!("file:{}", path.display());
+
+    let (handle, addr) = start(ephemeral(1, 4));
+    let mut client = Client::connect(&addr).unwrap();
+    let workload = || (key("workload"), Value::Str(spec.clone()));
+    let requests = [
+        ("synth", serde_json::to_value(&SynthJob::new(&spec, 4, 4))),
+        ("pareto", Value::Map(vec![workload()])),
+        (
+            "sweep",
+            Value::Map(vec![
+                workload(),
+                (key("latencies"), Value::Seq(vec![Value::UInt(4)])),
+                (key("areas"), Value::Seq(vec![Value::UInt(4)])),
+            ]),
+        ),
+    ];
+    for (method, params) in requests {
+        let doc = client.call(method, Some(&params), None).unwrap();
+        assert_eq!(response_error_kind(&doc), Some("bad_request"), "{method}");
+        let text = serde_json::to_string(&doc).unwrap();
+        assert!(text.contains("empty.dfg"), "{method}: {text}");
+        assert!(text.contains("no operations"), "{method}: {text}");
+    }
+    // The worker survived every refusal.
+    let params = serde_json::to_value(&SynthJob::new("builtin:figure4a", 6, 4));
+    let doc = client.call("synth", Some(&params), None).unwrap();
+    assert!(response_result(&doc).is_some());
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_requests_get_structured_bad_request() {
     let (handle, addr) = start(ephemeral(1, 4));
     let mut client = Client::connect(&addr).unwrap();
@@ -247,7 +286,7 @@ fn malformed_requests_get_structured_bad_request() {
     assert_eq!(response_error_kind(&doc), Some("bad_request"));
 
     // A malformed file workload carries path and line through the wire.
-    let dir = std::env::temp_dir().join("rchls-serve-e2e");
+    let dir = std::env::temp_dir().join(format!("rchls-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("broken.dfg");
     std::fs::write(&path, "graph g\nop a add\na -> ghost\n").unwrap();

@@ -299,8 +299,10 @@ pub fn register_workload_source(source: Arc<dyn WorkloadSource>) -> Result<(), W
 ///
 /// # Errors
 ///
-/// Returns a [`WorkloadError`] when the scheme is unregistered or the
-/// source rejects the spec.
+/// Returns a [`WorkloadError`] when the scheme is unregistered, the
+/// source rejects the spec, or the resolved graph has no operations
+/// (whatever the source: an empty graph has no design to synthesize,
+/// and its zero critical path has no valid bounds).
 pub fn load_workload(spec: &str) -> Result<Workload, WorkloadError> {
     let (scheme, rest) = match spec.split_once(':') {
         Some((scheme, rest)) => (scheme, rest),
@@ -316,7 +318,14 @@ pub fn load_workload(spec: &str) -> Result<Workload, WorkloadError> {
             ),
         )
     })?;
-    source.load(rest)
+    let workload = source.load(rest)?;
+    if workload.dfg.is_empty() {
+        return Err(WorkloadError::new(
+            workload.spec,
+            "the graph has no operations; a workload needs at least one",
+        ));
+    }
+    Ok(workload)
 }
 
 #[cfg(test)]
@@ -454,6 +463,10 @@ mod tests {
         register_workload_source(Arc::new(Chain)).unwrap();
         let w = load_workload("test-chain:5").unwrap();
         assert_eq!(w.dfg.node_count(), 5);
+        // Whatever the source, an operation-free graph is refused.
+        let e = load_workload("test-chain:0").unwrap_err();
+        assert_eq!(e.spec, "test-chain:0");
+        assert!(e.message.contains("no operations"), "{e}");
         assert!(workload_source_schemes().contains(&"test-chain".to_owned()));
         assert!(register_workload_source(Arc::new(Chain)).is_err());
         let bad = register_workload_source(Arc::new(BadScheme)).unwrap_err();

@@ -1,11 +1,10 @@
 //! Regenerates **Figure 9**: per-benchmark average reliabilities of the
-//! three strategies over the Table-2 grids, computed through the
-//! parallel sweep executor.
+//! three strategies over the Table-2 grids, computed by one exploration
+//! on a session engine.
 
 use rchls_bench::paper_benchmarks;
-use rchls_core::explore::averages;
-use rchls_core::{FlowSpec, RedundancyModel};
-use rchls_explorer::{explore, ExploreTask, SweepExecutor, SynthCache};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
+use rchls_explorer::{averages, explore, ExploreTask};
 use rchls_reslib::Library;
 
 fn bar(v: f64) -> String {
@@ -13,19 +12,15 @@ fn bar(v: f64) -> String {
 }
 
 fn main() {
-    let library = Library::table1();
     let tasks: Vec<ExploreTask> = paper_benchmarks()
         .into_iter()
         .map(|(name, dfg, grid)| ExploreTask::new(name, dfg, grid))
         .collect();
-    let cache = SynthCache::new();
     let exploration = explore(
+        &Engine::new(Library::table1()),
         &tasks,
-        &library,
         &FlowSpec::default(),
         RedundancyModel::default(),
-        SweepExecutor::default(),
-        &cache,
     );
     println!("== Figure 9: average reliability per benchmark and strategy ==\n");
     for sweep in &exploration.sweeps {

@@ -2,14 +2,13 @@
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use rchls_core::explore::format_table;
+use rchls_core::engine::{CacheKey, CacheStats, SynthCache};
 use rchls_core::{
     flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, FlowSpec, RedundancyModel,
     SynthJob, SynthRequest, Synthesizer,
 };
 use rchls_explorer::{
-    explore, explore_shard, export, CacheKey, CacheStats, CheckpointedSweep, ExploreTask,
-    SweepExecutor, SynthCache,
+    explore, explore_shard, export, format_table, CheckpointedSweep, ExploreTask,
 };
 use rchls_netlist::{generators, FaultInjector};
 use rchls_reslib::Library;
@@ -28,10 +27,11 @@ pub fn help() -> String {
      \x20       [--scheduler <id>] [--binder <id>] [--victim <id>] [--refine <id>]\n\
      \x20       [--library <file>] [--mission-time T] [--store DIR]\n\
      \x20 rchls sweep --workload SPEC --latencies L1,L2,... --areas A1,A2,...\n\
-     \x20       [--format table|json|csv] [--store DIR] [--shard I/N]\n\
-     \x20       [--checkpoint-every N] [--resume]\n\
+     \x20       [--format table|json|csv] [--jobs N] [--cache-budget BYTES]\n\
+     \x20       [--store DIR] [--shard I/N] [--checkpoint-every N] [--resume]\n\
      \x20 rchls pareto <SPEC> [--latencies ...] [--areas ...]\n\
-     \x20       [--format table|json|csv] [--store DIR]\n\
+     \x20       [--format table|json|csv] [--jobs N] [--cache-budget BYTES]\n\
+     \x20       [--store DIR]\n\
      \x20 rchls merge <shard.json>... [--format table|json|csv]\n\
      \x20 rchls batch <jobs.json> [--jobs N] [--cache-budget BYTES]\n\
      \x20       [--library <file>] [--mission-time T] [--store DIR]\n\
@@ -336,14 +336,51 @@ fn synth_bounds(
         Ok(grid.iter().map(pick).max().unwrap_or(1))
     };
     let latency = match args.get("latency") {
-        Some(_) => args.required_u32("latency")?,
+        Some(_) => positive_bound(args, "latency")?,
         None => loosest(|&(l, _)| l)?,
     };
     let area = match args.get("area") {
-        Some(_) => args.required_u32("area")?,
+        Some(_) => positive_bound(args, "area")?,
         None => loosest(|&(_, a)| a)?,
     };
     Ok(Bounds::new(latency, area))
+}
+
+/// Why a zero bound is refused at the boundary.
+const ZERO_BOUND: &str = "bounds must be positive (no design meets a zero latency or area bound)";
+
+/// A required single bound flag (`--latency`, `--area`), refusing zero.
+fn positive_bound(args: &ParsedArgs, flag: &'static str) -> Result<u32, CliError> {
+    match args.required_u32(flag)? {
+        0 => Err(CliError::BadValue {
+            flag: flag.to_owned(),
+            reason: ZERO_BOUND.to_owned(),
+        }),
+        bound => Ok(bound),
+    }
+}
+
+/// A required comma-separated bound list (`--latencies`, `--areas`),
+/// refusing zero.
+fn positive_bounds(args: &ParsedArgs, flag: &'static str) -> Result<Vec<u32>, CliError> {
+    let bounds = args.required_u32_list(flag)?;
+    if bounds.contains(&0) {
+        return Err(CliError::BadValue {
+            flag: flag.to_owned(),
+            reason: ZERO_BOUND.to_owned(),
+        });
+    }
+    Ok(bounds)
+}
+
+/// The `--latencies × --areas` bound grid of a sweep, latency-major.
+fn grid_arg(args: &ParsedArgs) -> Result<Vec<(u32, u32)>, CliError> {
+    let latencies = positive_bounds(args, "latencies")?;
+    let areas = positive_bounds(args, "areas")?;
+    Ok(latencies
+        .iter()
+        .flat_map(|&l| areas.iter().map(move |&a| (l, a)))
+        .collect())
 }
 
 /// The session cache facts of one CLI run as a JSON map: hit/miss
@@ -549,9 +586,16 @@ fn cache_budget_arg(args: &ParsedArgs) -> Result<CacheBudget, CliError> {
     }
 }
 
-/// Resolves the global `--jobs` flag into an executor.
-fn executor(args: &ParsedArgs) -> Result<SweepExecutor, CliError> {
-    Ok(SweepExecutor::new(jobs_arg(args)?))
+/// The session [`Engine`] of a command: `--library`/`--mission-time`,
+/// `--jobs`, `--cache-budget` and `--store`.
+fn engine_arg(args: &ParsedArgs) -> Result<Engine, CliError> {
+    let mut engine = Engine::new(load_library(args)?)
+        .with_jobs(jobs_arg(args)?)
+        .with_cache_budget(cache_budget_arg(args)?);
+    if let Some(store) = store_arg(args)? {
+        engine = engine.with_store(store);
+    }
+    Ok(engine)
 }
 
 /// Resolves the optional `--store DIR` flag into an opened persistent
@@ -658,22 +702,12 @@ fn shard_arg(args: &ParsedArgs) -> Result<Option<(u32, u32)>, CliError> {
 pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
     let _faults = faults_arg(args)?;
     let workload = load_workload_arg(args)?;
-    let library = load_library(args)?;
     let flow_spec = flow_from_args(args)?;
-    let latencies = args.required_u32_list("latencies")?;
-    let areas = args.required_u32_list("areas")?;
-    let grid: Vec<(u32, u32)> = latencies
-        .iter()
-        .flat_map(|&l| areas.iter().map(move |&a| (l, a)))
-        .collect();
+    let grid = grid_arg(args)?;
+    let engine = engine_arg(args)?;
     let model = RedundancyModel::default();
-    let store = store_arg(args)?;
-    let cache = SynthCache::new();
-    if let Some(store) = &store {
-        cache.set_store(Arc::clone(store));
-    }
     let tasks = [
-        ExploreTask::new(workload.dfg.name(), workload.dfg.clone(), grid)
+        ExploreTask::new(workload.dfg.name().to_owned(), workload.dfg, grid)
             .with_workload(workload.spec),
     ];
     let checkpointing = resume || args.get("checkpoint-every").is_some();
@@ -699,16 +733,7 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
                 })
             }
         }
-        let shard = explore_shard(
-            &tasks[0],
-            &library,
-            &flow_spec,
-            model,
-            &executor(args)?,
-            &cache,
-            index,
-            count,
-        );
+        let shard = explore_shard(&engine, &tasks[0], &flow_spec, model, index, count);
         return Ok(export::shard_json(&shard) + "\n");
     }
 
@@ -716,13 +741,13 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
     // into the store in chunks (checkpointing after each), then let the
     // plain exploration below assemble the document entirely from the
     // cache tiers — byte-identical no matter where a prior run died.
-    if checkpointing {
-        let Some(store) = &store else {
+    let warm = if checkpointing {
+        if engine.store().is_none() {
             return Err(CliError::BadFlag(
                 "--resume/--checkpoint-every persist through the result store; add --store DIR"
                     .to_owned(),
             ));
-        };
+        }
         let every = args.u32_or("checkpoint-every", 8)? as usize;
         if every == 0 {
             return Err(CliError::BadValue {
@@ -730,15 +755,11 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
                 reason: "checkpoint interval must be a positive point count".to_owned(),
             });
         }
-        let exec = executor(args)?;
         let warm = CheckpointedSweep {
+            engine: &engine,
             task: &tasks[0],
-            library: &library,
             flow: &flow_spec,
             model,
-            executor: &exec,
-            cache: &cache,
-            store,
             every,
             resume,
         };
@@ -750,17 +771,16 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
              {} checkpoints written)",
             outcome.total_points, outcome.skipped, outcome.computed, outcome.checkpoints_written
         );
-    }
+        Some(warm)
+    } else {
+        None
+    };
 
-    let exploration = explore(&tasks, &library, &flow_spec, model, executor(args)?, &cache);
-    if checkpointing {
-        if let Some(store) = &store {
-            // The document is assembled; the checkpoint has served its
-            // purpose.
-            store.remove_checkpoint(rchls_explorer::sweep_fingerprint(
-                &tasks[0], &library, &flow_spec, model,
-            ));
-        }
+    let exploration = explore(&engine, &tasks, &flow_spec, model);
+    if let Some(warm) = warm {
+        // The document is assembled; the checkpoint has served its
+        // purpose.
+        warm.clear();
     }
     let rows = &exploration.sweeps[0].rows;
     match args.get("format").unwrap_or("table") {
@@ -809,54 +829,34 @@ pub fn merge(args: &ParsedArgs, inputs: &[String]) -> Result<String, CliError> {
 /// Pareto frontier over achieved `(latency, area, reliability)`.
 pub fn pareto(args: &ParsedArgs) -> Result<String, CliError> {
     let workload = load_workload_arg(args)?;
-    let dfg = workload.dfg;
-    let library = load_library(args)?;
     let flow_spec = flow_from_args(args)?;
+    let engine = engine_arg(args)?;
+    let dfg = workload.dfg;
     let grid: Vec<(u32, u32)> = match (args.get("latencies"), args.get("areas")) {
-        (None, None) => {
-            rchls_explorer::default_grid(&dfg, &library).ok_or_else(|| CliError::BadValue {
+        (None, None) => rchls_explorer::default_grid(&dfg, engine.library()).ok_or_else(|| {
+            CliError::BadValue {
                 flag: "library".to_owned(),
                 reason: format!(
                     "has no version for one of {}'s operation classes",
                     dfg.name()
                 ),
-            })?
-        }
-        _ => {
-            let latencies = args.required_u32_list("latencies")?;
-            let areas = args.required_u32_list("areas")?;
-            latencies
-                .iter()
-                .flat_map(|&l| areas.iter().map(move |&a| (l, a)))
-                .collect()
-        }
+            }
+        })?,
+        _ => grid_arg(args)?,
     };
-    let cache = SynthCache::new();
-    if let Some(store) = store_arg(args)? {
-        cache.set_store(store);
-    }
-    let tasks = [ExploreTask::new(dfg.name(), dfg.clone(), grid.clone())
-        .with_workload(workload.spec.clone())];
-    let exploration = explore(
-        &tasks,
-        &library,
-        &flow_spec,
-        RedundancyModel::default(),
-        executor(args)?,
-        &cache,
-    );
+    let points = grid.len();
+    let tasks = [ExploreTask::new(dfg.name().to_owned(), dfg, grid).with_workload(workload.spec)];
+    let exploration = explore(&engine, &tasks, &flow_spec, RedundancyModel::default());
     match args.get("format").unwrap_or("table") {
         // Machine-consumable: frontier plus diagnostics-carrying sweep
         // rows, as one JSON document.
         "json" => Ok(export::exploration_json(&exploration) + "\n"),
         "csv" => Ok(export::frontier_csv(&exploration.frontier)),
         "table" => {
-            let stats = cache.stats();
             let mut out = format!(
-                "Pareto frontier of {} over {} bound points ({} synthesis runs):\n\n",
-                dfg.name(),
-                grid.len(),
-                stats.misses,
+                "Pareto frontier of {} over {points} bound points ({} synthesis runs):\n\n",
+                tasks[0].name,
+                engine.cache_stats().misses,
             );
             out.push_str(&export::frontier_table(&exploration.frontier));
             if let Some(best) = exploration.frontier.most_reliable() {
@@ -885,8 +885,8 @@ pub fn dot(args: &ParsedArgs) -> Result<String, CliError> {
 pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     // Flag validation comes before any filesystem work so a bad
     // `--jobs`/`--cache-budget` reports itself even for a missing file.
-    let workers = jobs_arg(args)?;
-    let budget = cache_budget_arg(args)?;
+    jobs_arg(args)?;
+    cache_budget_arg(args)?;
     let _faults = faults_arg(args)?;
     let path = args.required("file")?;
     let text = std::fs::read_to_string(path)?;
@@ -894,13 +894,7 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         flag: "file".to_owned(),
         reason: format!("{path}: {e}"),
     })?;
-    let mut engine = Engine::new(load_library(args)?)
-        .with_jobs(workers)
-        .with_cache_budget(budget);
-    if let Some(store) = store_arg(args)? {
-        engine = engine.with_store(store);
-    }
-    let report = engine.run_batch(&jobs);
+    let report = engine_arg(args)?.run_batch(&jobs);
     Ok(serde_json::to_string_pretty(&report).expect("batch reports serialize") + "\n")
 }
 
@@ -1332,7 +1326,10 @@ fn reverify(
 pub fn validate(args: &ParsedArgs) -> Result<String, CliError> {
     let dfg = load_workload_arg(args)?.dfg;
     let library = load_library(args)?;
-    let bounds = Bounds::new(args.required_u32("latency")?, args.required_u32("area")?);
+    let bounds = Bounds::new(
+        positive_bound(args, "latency")?,
+        positive_bound(args, "area")?,
+    );
     let trials = args.u32_or("trials", 50_000)? as usize;
     let seed = args.u64_or("seed", 1)?;
     let flow_spec = flow_from_args(args)?;

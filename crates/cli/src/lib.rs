@@ -51,10 +51,12 @@
 //! `--dfg <name|file>` flag desugars to `builtin:`/`file:` specs, so
 //! every entry point resolves through the registry.
 //!
-//! The sweep, pareto, batch, and serve commands accept a global
-//! `--jobs N` flag sizing their worker pool (omitted: one worker per
-//! CPU; an explicit `--jobs 0` is rejected); parallel output is
-//! byte-identical to serial output. The synth, sweep, pareto, batch,
+//! The sweep, pareto, batch, and serve commands run on one session
+//! [`rchls_core::Engine`] and accept a global `--jobs N` flag sizing
+//! its worker pool (omitted: one worker per CPU; an explicit `--jobs 0`
+//! is rejected) and `--cache-budget BYTES` bounding its caches; output
+//! is byte-identical at any worker count and budget. Zero latency or
+//! area bounds are refused at the flag. The synth, sweep, pareto, batch,
 //! and serve commands accept `--store DIR`, a persistent
 //! content-addressed result store backing the in-memory cache — warm
 //! runs replay stored reports byte-identically; `sweep` adds
@@ -900,27 +902,97 @@ mod tests {
     fn batch_output_is_cache_budget_and_jobs_invariant() {
         let (_dir, jobs_path) = write_batch_fixture();
         let path = jobs_path.to_str().unwrap();
-        let reference = run(&s(&["batch", path, "--jobs", "1"])).unwrap();
-        // Eviction must never change a byte of the report: the full
-        // budget × worker-count matrix agrees with the unbudgeted
-        // serial run, including the cumulative cache-size facts.
-        for budget in ["0", "64KiB", "unlimited"] {
-            for jobs in ["1", "8"] {
-                let out = run(&s(&[
-                    "batch",
-                    path,
-                    "--jobs",
-                    jobs,
-                    "--cache-budget",
-                    budget,
-                ]))
-                .unwrap();
-                assert_eq!(out, reference, "--cache-budget {budget} --jobs {jobs}");
+        let sweep = [
+            "sweep",
+            "--workload",
+            "builtin:diffeq",
+            "--latencies",
+            "5,6,7",
+            "--areas",
+            "7,11",
+            "--format",
+            "json",
+        ];
+        for command in [vec!["batch", path], sweep.to_vec()] {
+            let with = |extra: &[&str]| {
+                let mut args = command.clone();
+                args.extend_from_slice(extra);
+                run(&s(&args))
+            };
+            let reference = with(&["--jobs", "1"]).unwrap();
+            // Eviction must never change a byte of the output: the full
+            // budget × worker-count matrix agrees with the unbudgeted
+            // serial run, including batch's cumulative cache-size facts.
+            for budget in ["0", "64KiB", "unlimited"] {
+                for jobs in ["1", "8"] {
+                    let out = with(&["--jobs", jobs, "--cache-budget", budget]).unwrap();
+                    assert_eq!(
+                        out, reference,
+                        "{}: --cache-budget {budget} --jobs {jobs}",
+                        command[0]
+                    );
+                }
             }
+            // Malformed budgets report clearly.
+            let err = with(&["--cache-budget", "lots"]).unwrap_err();
+            assert!(err.to_string().contains("cache budget"), "{}", command[0]);
         }
-        // Malformed budgets report clearly.
-        let err = run(&s(&["batch", path, "--cache-budget", "lots"])).unwrap_err();
-        assert!(err.to_string().contains("cache budget"));
+    }
+
+    #[test]
+    fn zero_bounds_are_refused_with_the_flag_named() {
+        let cases: Vec<(Vec<String>, &str)> = vec![
+            (
+                s(&[
+                    "sweep",
+                    "--workload",
+                    "builtin:diffeq",
+                    "--latencies",
+                    "0,5",
+                    "--areas",
+                    "7",
+                ]),
+                "--latencies",
+            ),
+            (
+                s(&[
+                    "pareto",
+                    "builtin:diffeq",
+                    "--latencies",
+                    "5",
+                    "--areas",
+                    "0",
+                ]),
+                "--areas",
+            ),
+            (
+                s(&["synth", "--workload", "builtin:diffeq", "--latency", "0"]),
+                "--latency",
+            ),
+            (
+                s(&[
+                    "validate",
+                    "--workload",
+                    "builtin:diffeq",
+                    "--latency",
+                    "5",
+                    "--area",
+                    "0",
+                ]),
+                "--area",
+            ),
+        ];
+        for (args, flag) in cases {
+            let err = run(&args).unwrap_err();
+            assert!(
+                matches!(&err, CliError::BadValue { flag: f, .. } if format!("--{f}") == flag),
+                "{args:?}: {err}"
+            );
+            assert!(
+                err.to_string().contains("must be positive"),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -383,7 +383,7 @@ impl SynthCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flow, StrategyKind};
+    use crate::{flow, SynthRequest};
     use rchls_dfg::{DfgBuilder, OpKind};
 
     fn tiny() -> Dfg {
@@ -439,14 +439,14 @@ mod tests {
         let cache = SynthCache::new();
         let model = RedundancyModel::default();
         let flow_spec = FlowSpec::default();
-        for kind in StrategyKind::TABLE2 {
+        for id in ["baseline", "ours", "combined"] {
             cache.synthesize(
                 &dfg,
                 &lib,
                 Bounds::new(6, 4),
                 &flow_spec,
                 model,
-                &*kind.strategy(),
+                &*flow::strategy(id).unwrap(),
             );
         }
         cache.synthesize(&dfg, &lib, Bounds::new(7, 4), &flow_spec, model, &*ours());
@@ -495,8 +495,7 @@ mod tests {
         let wide = Bounds::new(6, 4);
         let tight = Bounds::new(2, 6);
         let key = CacheKey::for_point(&dfg, &lib, wide, &flow_spec, model, "ours");
-        let run =
-            |bounds: Bounds| StrategyKind::Ours.run_report(&dfg, &lib, bounds, &flow_spec, model);
+        let run = |bounds: Bounds| ours().run(&SynthRequest::new(&dfg, &lib, bounds));
         let first = cache.get_or_compute(key, wide, "ours", || run(wide));
         // The same key arriving with a different declared request is a
         // collision: it must compute fresh, never serve the wide result.
@@ -742,8 +741,7 @@ mod tests {
         let wide = Bounds::new(6, 4);
         let tight = Bounds::new(2, 6);
         let key = CacheKey::for_point(&dfg, &lib, wide, &flow_spec, model, "ours");
-        let run =
-            |bounds: Bounds| StrategyKind::Ours.run_report(&dfg, &lib, bounds, &flow_spec, model);
+        let run = |bounds: Bounds| ours().run(&SynthRequest::new(&dfg, &lib, bounds));
 
         let first = session_over(&store).get_or_compute(key, wide, "ours", || run(wide));
         // A different request arriving under the same fingerprint in a

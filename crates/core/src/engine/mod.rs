@@ -21,9 +21,8 @@
 //!   byte-identical at any worker count.
 //!
 //! This module also hosts the executor, fingerprint, and cache
-//! primitives (grown in `rchls-explorer`, moved here so both the engine
-//! and the explorer build on one implementation; `rchls_explorer`
-//! re-exports them unchanged).
+//! primitives the engine is built from; `rchls-explorer` sweeps run on
+//! an engine rather than on these directly.
 //!
 //! # Examples
 //!
@@ -391,6 +390,12 @@ impl Engine {
         self.executor.jobs()
     }
 
+    /// The session executor that batches and sweeps fan out over.
+    #[must_use]
+    pub fn executor(&self) -> &SweepExecutor {
+        &self.executor
+    }
+
     /// Hit/miss counters of the session cache.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
@@ -589,6 +594,34 @@ mod tests {
         Engine::new(Library::table1())
     }
 
+    /// A scratch directory owned by one test: the process id plus a
+    /// per-process counter keep concurrent tests (and concurrent test
+    /// processes) from sharing files, and the directory is removed on
+    /// drop.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(tag: &str) -> TestDir {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir =
+                std::env::temp_dir().join(format!("rchls-engine-{tag}-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn engine_matches_the_per_call_api() {
         let e = engine();
@@ -705,8 +738,7 @@ mod tests {
 
     #[test]
     fn malformed_file_workload_errors_surface_path_and_line_in_batch() {
-        let dir = std::env::temp_dir().join("rchls-engine-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("broken-file");
         let path = dir.join("broken.dfg");
         std::fs::write(&path, "graph g\nop a add\na -> ghost\n").unwrap();
         let e = engine();

@@ -27,10 +27,10 @@
 //! * `"redundancy"` — replication over the best single-version design.
 //!
 //! Out-of-tree crates extend any slot by registering a trait impl (see
-//! [`flow::register_scheduler`]). [`explore`] drives the (latency, area)
-//! sweeps behind every table and figure of the paper's evaluation, and
-//! [`modes`] implements the paper's future-work objectives (minimize area
-//! / minimize latency under a reliability bound).
+//! [`flow::register_scheduler`]). [`modes`] implements the paper's
+//! future-work objectives (minimize area / minimize latency under a
+//! reliability bound); the (latency, area) sweeps behind the paper's
+//! tables and figures run on an [`Engine`] through `rchls-explorer`.
 //!
 //! For serving many requests, [`engine`] wraps the per-call API in a
 //! session: an [`Engine`] interns the library and every workload behind
@@ -72,7 +72,6 @@ mod combined;
 mod design;
 pub mod engine;
 mod error;
-pub mod explore;
 pub mod flow;
 pub mod modes;
 mod obs;
@@ -89,7 +88,6 @@ pub use combined::{combined_report, synthesize_combined};
 pub use design::Design;
 pub use engine::{BatchReport, CacheBudget, Engine, EngineError, JobOutcome, SynthJob};
 pub use error::SynthesisError;
-pub use explore::{StrategyDiagnostics, StrategyKind};
 pub use flow::{Diagnostics, FlowSpec, Strategy, SynthReport, SynthRequest};
 pub use redundancy::{add_redundancy, add_redundancy_with_model, RedundancyModel};
 pub use scratch::{ScratchPool, SynthScratch};

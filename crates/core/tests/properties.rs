@@ -4,7 +4,6 @@
 //! (greedy + uniform starts + allocation search + refinement).
 
 use proptest::prelude::*;
-use rchls_core::explore::sweep;
 use rchls_core::{
     monte_carlo_reliability, synthesize_combined, synthesize_nmr_baseline, Bounds, FlowSpec,
     RedundancyModel, Synthesizer,
@@ -77,32 +76,6 @@ proptest! {
         } else {
             // Combined fails only when both branches fail.
             prop_assert!(ours.is_err() && base.is_err());
-        }
-    }
-
-    #[test]
-    fn sweep_columns_are_monotone_under_dominance(g in small_dag()) {
-        let lib = Library::table1();
-        let n = g.node_count() as u32;
-        let grid: Vec<(u32, u32)> = [2 * n, 3 * n]
-            .iter()
-            .flat_map(|&l| [6u32, 10, 14].map(move |a| (l, a)))
-            .collect();
-        let rows = sweep(&g, &lib, &grid);
-        for a in &rows {
-            for b in &rows {
-                if a.latency_bound <= b.latency_bound && a.area_bound <= b.area_bound {
-                    for (va, vb) in [(a.baseline, b.baseline), (a.ours, b.ours), (a.combined, b.combined)] {
-                        if let (Some(x), Some(y)) = (va, vb) {
-                            prop_assert!(y + 1e-12 >= x, "dominated cell beat its superior");
-                        }
-                        // Feasibility is inherited too.
-                        if va.is_some() {
-                            prop_assert!(vb.is_some());
-                        }
-                    }
-                }
-            }
         }
     }
 

@@ -1,39 +1,187 @@
-//! High-level exploration drivers: fan `(benchmark × bounds × strategy)`
-//! jobs over the executor, assemble sweep tables, and archive the
-//! Pareto frontier.
+//! The design-space sweep behind the paper's tables and figures: fan
+//! `(bounds × strategy)` jobs for each benchmark over a session
+//! [`Engine`], assemble Table-2-style rows, and archive the Pareto
+//! frontier.
 //!
-//! Every strategy is dispatched through the [`rchls_core::Strategy`]
-//! trait — the explorer never matches on a strategy enum, so
-//! out-of-tree strategies sweep exactly like built-ins.
+//! Every sweep applies *feasibility inheritance*: a design feasible under
+//! bounds `(Ld, Ad)` is feasible under any looser bounds, so each sweep
+//! point reports the best reliability over all dominated bound pairs in
+//! the sweep. This turns the greedy engine's occasional
+//! non-monotonicity (a tighter bound steering the heuristic to a better
+//! local optimum) into the monotone curves a designer actually has
+//! available — at no additional synthesis cost.
+//!
+//! Strategies are addressed by registry id through the
+//! [`rchls_core::Strategy`] trait; the Table-2 columns are the three ids
+//! in [`TABLE2_STRATEGIES`].
 
 use crate::pareto::{FrontierPoint, ParetoArchive};
-use rchls_core::engine::{SweepExecutor, SynthCache};
-use rchls_core::explore::{inherit, StrategyDiagnostics, SweepRow};
-use rchls_core::{Bounds, Design, FlowSpec, RedundancyModel, Strategy, StrategyKind, SynthReport};
+use rchls_core::{flow, Bounds, Diagnostics, Engine, FlowSpec, RedundancyModel, Strategy};
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// The achieved objectives of one synthesized design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DesignPoint {
-    /// Achieved latency in clock cycles.
-    pub latency: u32,
-    /// Achieved area in normalized units.
-    pub area: u32,
-    /// Achieved design reliability.
-    pub reliability: f64,
+/// The paper's three Table-2 strategies, by registry id, in the paper's
+/// column order: the redundancy baseline (Ref \[3\]), the
+/// reliability-centric approach, and the combined scheme.
+pub const TABLE2_STRATEGIES: [&str; 3] = ["baseline", "ours", "combined"];
+
+/// The registered strategies behind [`TABLE2_STRATEGIES`], in order.
+pub(crate) fn table2_strategies() -> Vec<Arc<dyn Strategy>> {
+    TABLE2_STRATEGIES
+        .iter()
+        .map(|id| flow::strategy(id).expect("built-in strategies are always registered"))
+        .collect()
 }
 
-impl From<&Design> for DesignPoint {
-    fn from(d: &Design) -> DesignPoint {
-        DesignPoint {
-            latency: d.latency,
-            area: d.area,
-            reliability: d.reliability.value(),
+/// One strategy's diagnostics at one sweep point (wall time scrubbed for
+/// determinism — see [`Diagnostics::scrubbed`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StrategyDiagnostics {
+    /// The strategy's registry id.
+    pub strategy: String,
+    /// The scrubbed diagnostics of the run.
+    pub diagnostics: Diagnostics,
+}
+
+/// One row of a Table-2-style comparison: the three strategies at one
+/// `(Ld, Ad)` point. `None` means the strategy found no feasible design.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SweepRow {
+    /// Latency bound `Ld`.
+    pub latency_bound: u32,
+    /// Area bound `Ad`.
+    pub area_bound: u32,
+    /// Reliability of the redundancy baseline (\[3\]).
+    pub baseline: Option<f64>,
+    /// Reliability of the reliability-centric approach.
+    pub ours: Option<f64>,
+    /// Reliability of the combined approach.
+    pub combined: Option<f64>,
+    /// Per-strategy diagnostics of this point's own (raw) runs, in
+    /// [`TABLE2_STRATEGIES`] order, feasible runs only. Feasibility
+    /// inheritance copies a row's reliabilities from dominated rows but
+    /// keeps the row's own diagnostics.
+    pub diagnostics: Vec<StrategyDiagnostics>,
+}
+
+impl SweepRow {
+    /// An empty row at the given bounds.
+    #[must_use]
+    pub fn empty(latency_bound: u32, area_bound: u32) -> SweepRow {
+        SweepRow {
+            latency_bound,
+            area_bound,
+            baseline: None,
+            ours: None,
+            combined: None,
+            diagnostics: Vec::new(),
         }
     }
+
+    /// The reliability column of a [`TABLE2_STRATEGIES`] id.
+    fn column_mut(&mut self, strategy: &str) -> &mut Option<f64> {
+        match strategy {
+            "baseline" => &mut self.baseline,
+            "ours" => &mut self.ours,
+            "combined" => &mut self.combined,
+            other => unreachable!("{other:?} is not a Table-2 strategy"),
+        }
+    }
+
+    /// Percentage improvement of ours over the baseline (the paper's
+    /// "% Imprv" column); `None` if either side is infeasible.
+    #[must_use]
+    pub fn improvement_pct(&self) -> Option<f64> {
+        match (self.baseline, self.ours) {
+            (Some(b), Some(o)) if b > 0.0 => Some((o - b) / b * 100.0),
+            _ => None,
+        }
+    }
+
+    /// Percentage improvement of the combined approach over the baseline.
+    #[must_use]
+    pub fn combined_improvement_pct(&self) -> Option<f64> {
+        match (self.baseline, self.combined) {
+            (Some(b), Some(c)) if b > 0.0 => Some((c - b) / b * 100.0),
+            _ => None,
+        }
+    }
+}
+
+/// Applies feasibility inheritance over a sweep's own dominance order:
+/// each row reports, per strategy, the best reliability among all rows
+/// whose bounds are no looser (see the module docs). Diagnostics stay
+/// with their own row.
+#[must_use]
+pub fn inherit(raw: &[SweepRow]) -> Vec<SweepRow> {
+    raw.iter()
+        .map(|row| {
+            let dominated = |other: &SweepRow| {
+                other.latency_bound <= row.latency_bound && other.area_bound <= row.area_bound
+            };
+            let best = |f: fn(&SweepRow) -> Option<f64>| {
+                raw.iter()
+                    .filter(|o| dominated(o))
+                    .filter_map(f)
+                    .fold(None, |acc: Option<f64>, v| {
+                        Some(acc.map_or(v, |a| a.max(v)))
+                    })
+            };
+            SweepRow {
+                latency_bound: row.latency_bound,
+                area_bound: row.area_bound,
+                baseline: best(|r| r.baseline),
+                ours: best(|r| r.ours),
+                combined: best(|r| r.combined),
+                diagnostics: row.diagnostics.clone(),
+            }
+        })
+        .collect()
+}
+
+/// Per-strategy average reliabilities over the feasible cells of a sweep
+/// (the Figure 9 bars). Returns `(baseline, ours, combined)`.
+#[must_use]
+pub fn averages(rows: &[SweepRow]) -> (f64, f64, f64) {
+    let avg = |f: fn(&SweepRow) -> Option<f64>| {
+        let vals: Vec<f64> = rows.iter().filter_map(f).collect();
+        if vals.is_empty() {
+            0.0
+        } else {
+            vals.iter().sum::<f64>() / vals.len() as f64
+        }
+    };
+    (avg(|r| r.baseline), avg(|r| r.ours), avg(|r| r.combined))
+}
+
+/// Formats sweep rows as an aligned text table matching the paper's
+/// Table 2 layout.
+#[must_use]
+pub fn format_table(rows: &[SweepRow]) -> String {
+    let mut out = String::from("  Ld   Ad    Ref[3]      Ours    %Imprv  Ours+Ref[3]  %Imprv\n");
+    for r in rows {
+        let cell = |v: Option<f64>| match v {
+            Some(x) => format!("{x:.5}"),
+            None => "   -   ".into(),
+        };
+        let pct = |v: Option<f64>| match v {
+            Some(x) => format!("{x:+.2}"),
+            None => "  -  ".into(),
+        };
+        out.push_str(&format!(
+            "{:>4} {:>4}  {:>8}  {:>8}  {:>8}  {:>10}  {:>7}\n",
+            r.latency_bound,
+            r.area_bound,
+            cell(r.baseline),
+            cell(r.ours),
+            pct(r.improvement_pct()),
+            cell(r.combined),
+            pct(r.combined_improvement_pct()),
+        ));
+    }
+    out
 }
 
 /// One benchmark to explore: a graph plus its `(Ld, Ad)` bound grid.
@@ -46,20 +194,25 @@ pub struct ExploreTask {
     /// sweep artifacts so randomized runs are reproducible from their
     /// reports.
     pub workload: Option<String>,
-    /// The data-flow graph.
-    pub dfg: Dfg,
+    /// The data-flow graph, shared (e.g. with an [`Engine`]'s interned
+    /// workload) rather than copied.
+    pub dfg: Arc<Dfg>,
     /// The `(latency, area)` bound pairs to sweep.
     pub grid: Vec<(u32, u32)>,
 }
 
 impl ExploreTask {
-    /// Bundles a named graph with its grid.
+    /// Bundles a named graph (owned or shared) with its grid.
     #[must_use]
-    pub fn new(name: impl Into<String>, dfg: Dfg, grid: Vec<(u32, u32)>) -> ExploreTask {
+    pub fn new(
+        name: impl Into<String>,
+        dfg: impl Into<Arc<Dfg>>,
+        grid: Vec<(u32, u32)>,
+    ) -> ExploreTask {
         ExploreTask {
             name: name.into(),
             workload: None,
-            dfg,
+            dfg: dfg.into(),
             grid,
         }
     }
@@ -78,12 +231,10 @@ impl ExploreTask {
         grid: Vec<(u32, u32)>,
     ) -> Result<ExploreTask, rchls_workloads::WorkloadError> {
         let workload = rchls_workloads::load_workload(spec)?;
-        Ok(ExploreTask {
-            name: workload.dfg.name().to_owned(),
-            workload: Some(workload.spec),
-            dfg: workload.dfg,
-            grid,
-        })
+        Ok(
+            ExploreTask::new(workload.dfg.name().to_owned(), workload.dfg, grid)
+                .with_workload(workload.spec),
+        )
     }
 
     /// Attaches the canonical workload spec this task's graph came from.
@@ -116,24 +267,14 @@ pub struct BenchmarkSweep {
     pub rows: Vec<SweepRow>,
 }
 
-/// One unit of executor work: a strategy at a grid point of a benchmark.
-struct PointJob<'a> {
-    dfg: &'a Dfg,
-    benchmark: &'a str,
-    workload: Option<&'a str>,
-    bounds: Bounds,
-    strategy: Arc<dyn Strategy>,
-}
-
-/// Sweeps every task's grid with the three Table-2 strategies in parallel
-/// and archives the Pareto frontier of the achieved designs.
+/// Sweeps every task's grid with the three Table-2 strategies on
+/// `engine` and archives the Pareto frontier of the achieved designs.
 ///
-/// The row tables are identical to running
-/// [`rchls_core::explore::sweep`] serially per benchmark — the executor
-/// only changes *when* each point is synthesized, never its result — and
-/// the output is byte-for-byte independent of the worker count (sweep
-/// artifacts store wall-time-scrubbed diagnostics; see
-/// [`rchls_core::Diagnostics::scrubbed`]).
+/// The library, cache tiers (memory, store), cache budget and worker
+/// count all come from the engine. Neither the worker count nor the
+/// cache state changes a byte of the result: the executor only changes
+/// *when* each point is synthesized, and sweep artifacts store
+/// wall-time-scrubbed diagnostics (see [`Diagnostics::scrubbed`]).
 ///
 /// # Panics
 ///
@@ -142,230 +283,98 @@ struct PointJob<'a> {
 /// point being infeasible.
 #[must_use]
 pub fn explore(
+    engine: &Engine,
     tasks: &[ExploreTask],
-    library: &Library,
     flow: &FlowSpec,
     model: RedundancyModel,
-    executor: SweepExecutor,
-    cache: &SynthCache,
 ) -> Exploration {
-    if let Err(e) = flow.resolve() {
-        panic!("explore: {e}");
-    }
-    let strategies: Vec<Arc<dyn Strategy>> = StrategyKind::TABLE2
-        .into_iter()
-        .map(StrategyKind::strategy)
-        .collect();
-    let strategies_ref = &strategies;
-    let jobs: Vec<PointJob<'_>> = tasks
-        .iter()
-        .flat_map(|t| {
-            t.grid.iter().flat_map(move |&(latency, area)| {
-                strategies_ref.iter().map(move |strategy| PointJob {
-                    dfg: &t.dfg,
-                    benchmark: &t.name,
-                    workload: t.workload.as_deref(),
-                    bounds: Bounds::new(latency, area),
-                    strategy: Arc::clone(strategy),
-                })
-            })
-        })
-        .collect();
-
-    let outcomes: Vec<Option<SynthReport>> = executor.run(&jobs, |job| {
-        cache.synthesize_with_workload(
-            job.dfg,
-            library,
-            job.bounds,
-            flow,
-            model,
-            &*job.strategy,
-            job.workload,
-        )
-    });
-
-    // Frontier: every feasible design, archived in deterministic job
-    // order (the archive's contents are order-independent anyway).
     let mut frontier = ParetoArchive::new();
-    for (job, outcome) in jobs.iter().zip(&outcomes) {
-        if let Some(report) = outcome {
-            let point = DesignPoint::from(&report.design);
-            frontier.insert(FrontierPoint {
-                benchmark: job.benchmark.to_owned(),
-                strategy: job.strategy.id().to_owned(),
-                latency_bound: job.bounds.latency,
-                area_bound: job.bounds.area,
-                latency: point.latency,
-                area: point.area,
-                reliability: point.reliability,
-            });
-        }
-    }
-
-    // Tables: regroup outcomes into per-benchmark rows, then apply the
-    // same feasibility inheritance as the serial sweep. Jobs were
-    // generated task-major in grid order with all strategies per point,
-    // so each outcome's position is directly computable.
-    let stride = strategies.len();
-    let mut task_offset = 0usize;
     let sweeps = tasks
         .iter()
-        .map(|t| {
-            let raw: Vec<SweepRow> = t
-                .grid
-                .iter()
-                .enumerate()
-                .map(|(point, &(latency, area))| {
-                    let mut row = SweepRow::empty(latency, area);
-                    let base = task_offset + point * stride;
-                    for (slot, kind) in StrategyKind::TABLE2.into_iter().enumerate() {
-                        let job = &jobs[base + slot];
-                        debug_assert_eq!(job.bounds, Bounds::new(latency, area));
-                        debug_assert_eq!(job.strategy.id(), kind.name());
-                        let outcome = outcomes[base + slot].as_ref();
-                        let r = outcome.map(|rep| rep.design.reliability.value());
-                        match kind {
-                            StrategyKind::Baseline => row.baseline = r,
-                            StrategyKind::Ours => row.ours = r,
-                            StrategyKind::Combined => row.combined = r,
-                            _ => unreachable!("TABLE2 holds the paper's three strategies"),
-                        }
-                        if let Some(report) = outcome {
-                            row.diagnostics.push(StrategyDiagnostics {
-                                strategy: kind.name().to_owned(),
-                                diagnostics: report.diagnostics.scrubbed(),
-                            });
-                        }
-                    }
-                    row
-                })
-                .collect();
-            task_offset += t.grid.len() * stride;
+        .map(|task| {
+            let (raw, candidates) = synthesize_points(engine, task, &task.grid, flow, model);
+            frontier.extend(candidates);
             BenchmarkSweep {
-                benchmark: t.name.clone(),
-                workload: t.workload.clone(),
+                benchmark: task.name.clone(),
+                workload: task.workload.clone(),
                 rows: inherit(&raw),
             }
         })
         .collect();
-
     Exploration { sweeps, frontier }
 }
 
 /// Synthesizes the given grid points of one task (all three Table-2
-/// strategies per point) and assembles the *raw* — pre-inheritance —
-/// rows plus the feasible frontier candidates, in point order.
+/// strategies per point) on `engine`, and assembles the *raw* —
+/// pre-inheritance — rows plus the feasible frontier candidates, in
+/// point order.
 ///
-/// This is the shared fan-out under partial-grid drivers
-/// ([`crate::shard`] covers a deterministic slice of the grid;
-/// [`crate::resume`] warms pending points between checkpoints), where
-/// feasibility inheritance must wait until the full grid is assembled.
+/// This is the one fan-out under every sweep: [`explore`] runs it over
+/// each task's full grid, [`crate::shard`] over a deterministic slice,
+/// and [`crate::resume`] over the pending points between checkpoints.
+///
+/// # Panics
+///
+/// Panics if `flow` names a pass id the registry doesn't know.
 pub(crate) fn synthesize_points(
+    engine: &Engine,
     task: &ExploreTask,
     points: &[(u32, u32)],
-    library: &Library,
     flow: &FlowSpec,
     model: RedundancyModel,
-    executor: &SweepExecutor,
-    cache: &SynthCache,
 ) -> (Vec<SweepRow>, Vec<FrontierPoint>) {
-    let strategies: Vec<Arc<dyn Strategy>> = StrategyKind::TABLE2
-        .into_iter()
-        .map(StrategyKind::strategy)
-        .collect();
-    let jobs: Vec<PointJob<'_>> = points
+    if let Err(e) = flow.resolve() {
+        panic!("sweep: {e}");
+    }
+    let strategies = table2_strategies();
+    let jobs: Vec<(Bounds, &Arc<dyn Strategy>)> = points
         .iter()
         .flat_map(|&(latency, area)| {
-            strategies.iter().map(move |strategy| PointJob {
-                dfg: &task.dfg,
-                benchmark: &task.name,
-                workload: task.workload.as_deref(),
-                bounds: Bounds::new(latency, area),
-                strategy: Arc::clone(strategy),
-            })
+            strategies
+                .iter()
+                .map(move |strategy| (Bounds::new(latency, area), strategy))
         })
         .collect();
-    let outcomes: Vec<Option<SynthReport>> = executor.run(&jobs, |job| {
-        cache.synthesize_with_workload(
-            job.dfg,
-            library,
-            job.bounds,
+    let outcomes = engine.executor().run(&jobs, |&(bounds, strategy)| {
+        engine.cache().synthesize_with_workload(
+            &task.dfg,
+            engine.library(),
+            bounds,
             flow,
             model,
-            &*job.strategy,
-            job.workload,
+            &**strategy,
+            task.workload.as_deref(),
         )
     });
 
     let mut candidates = Vec::new();
-    for (job, outcome) in jobs.iter().zip(&outcomes) {
-        if let Some(report) = outcome {
-            let point = DesignPoint::from(&report.design);
-            candidates.push(FrontierPoint {
-                benchmark: job.benchmark.to_owned(),
-                strategy: job.strategy.id().to_owned(),
-                latency_bound: job.bounds.latency,
-                area_bound: job.bounds.area,
-                latency: point.latency,
-                area: point.area,
-                reliability: point.reliability,
-            });
-        }
-    }
-
-    let stride = strategies.len();
     let rows = points
         .iter()
-        .enumerate()
-        .map(|(point, &(latency, area))| {
+        .zip(outcomes.chunks(strategies.len()))
+        .map(|(&(latency, area), outcomes)| {
             let mut row = SweepRow::empty(latency, area);
-            let base = point * stride;
-            for (slot, kind) in StrategyKind::TABLE2.into_iter().enumerate() {
-                let outcome = outcomes[base + slot].as_ref();
-                let r = outcome.map(|rep| rep.design.reliability.value());
-                match kind {
-                    StrategyKind::Baseline => row.baseline = r,
-                    StrategyKind::Ours => row.ours = r,
-                    StrategyKind::Combined => row.combined = r,
-                    _ => unreachable!("TABLE2 holds the paper's three strategies"),
-                }
-                if let Some(report) = outcome {
-                    row.diagnostics.push(StrategyDiagnostics {
-                        strategy: kind.name().to_owned(),
-                        diagnostics: report.diagnostics.scrubbed(),
-                    });
-                }
+            for (id, report) in TABLE2_STRATEGIES.into_iter().zip(outcomes) {
+                let Some(report) = report else { continue };
+                let design = &report.design;
+                *row.column_mut(id) = Some(design.reliability.value());
+                row.diagnostics.push(StrategyDiagnostics {
+                    strategy: id.to_owned(),
+                    diagnostics: report.diagnostics.scrubbed(),
+                });
+                candidates.push(FrontierPoint {
+                    benchmark: task.name.clone(),
+                    strategy: id.to_owned(),
+                    latency_bound: latency,
+                    area_bound: area,
+                    latency: design.latency,
+                    area: design.area,
+                    reliability: design.reliability.value(),
+                });
             }
             row
         })
         .collect();
     (rows, candidates)
-}
-
-/// Sweeps one benchmark's grid in parallel — the drop-in counterpart of
-/// [`rchls_core::explore::sweep`] with identical output.
-#[must_use]
-pub fn sweep_parallel(
-    dfg: &Dfg,
-    library: &Library,
-    grid: &[(u32, u32)],
-    executor: SweepExecutor,
-    cache: &SynthCache,
-) -> Vec<SweepRow> {
-    let tasks = [ExploreTask::new(dfg.name(), dfg.clone(), grid.to_vec())];
-    let mut exploration = explore(
-        &tasks,
-        library,
-        &FlowSpec::default(),
-        RedundancyModel::default(),
-        executor,
-        cache,
-    );
-    exploration
-        .sweeps
-        .pop()
-        .expect("one task yields one sweep")
-        .rows
 }
 
 /// A default exploration grid for an arbitrary graph, derived from its
@@ -437,24 +446,145 @@ pub fn default_grid(dfg: &Dfg, library: &Library) -> Option<Vec<(u32, u32)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_core::explore::sweep;
+    use rchls_core::SynthRequest;
+
+    fn engine(jobs: usize) -> Engine {
+        Engine::new(Library::table1()).with_jobs(jobs)
+    }
+
+    /// Sweeps one graph's grid with the default flow and model.
+    fn sweep(engine: &Engine, dfg: Dfg, grid: &[(u32, u32)]) -> Vec<SweepRow> {
+        let task = ExploreTask::new(dfg.name().to_owned(), dfg, grid.to_vec());
+        let mut out = explore(
+            engine,
+            &[task],
+            &FlowSpec::default(),
+            RedundancyModel::default(),
+        );
+        out.sweeps.pop().expect("one task yields one sweep").rows
+    }
 
     #[test]
     fn parallel_matches_serial_rows_exactly() {
-        let dfg = rchls_workloads::diffeq();
-        let lib = Library::table1();
+        // (The uncached reference sweep lives in tests/determinism.rs.)
         let grid = [(5u32, 11u32), (6, 13), (7, 9), (4, 2)];
-        let serial = sweep(&dfg, &lib, &grid);
-        for jobs in [1usize, 2, 8] {
-            let cache = SynthCache::new();
-            let parallel = sweep_parallel(&dfg, &lib, &grid, SweepExecutor::new(jobs), &cache);
+        let serial = sweep(&engine(1), rchls_workloads::diffeq(), &grid);
+        for jobs in [2usize, 8] {
+            let parallel = sweep(&engine(jobs), rchls_workloads::diffeq(), &grid);
             assert_eq!(parallel, serial, "jobs = {jobs}");
         }
     }
 
     #[test]
-    fn exploration_builds_a_nonempty_frontier() {
+    fn sweep_produces_row_per_grid_point() {
+        let grid = [(5u32, 4u32), (6, 4), (6, 6), (3, 1)];
+        let rows = sweep(&engine(1), rchls_workloads::figure4a(), &grid);
+        assert_eq!(rows.len(), 4);
+        // The infeasible point yields all-None and no diagnostics.
+        let last = &rows[3];
+        assert!(last.baseline.is_none() && last.ours.is_none() && last.combined.is_none());
+        assert!(last.improvement_pct().is_none());
+        assert!(last.diagnostics.is_empty());
+        // Feasible points carry scrubbed per-strategy diagnostics.
+        let first = &rows[0];
+        assert_eq!(first.diagnostics.len(), 3);
+        assert_eq!(first.diagnostics[0].strategy, "baseline");
+        assert!(first
+            .diagnostics
+            .iter()
+            .all(|d| d.diagnostics.wall_time_micros == 0));
+    }
+
+    #[test]
+    fn combined_column_dominates_ours_column() {
+        let grid: Vec<(u32, u32)> = (5..8).flat_map(|l| (3..7).map(move |a| (l, a))).collect();
+        for row in sweep(&engine(2), rchls_workloads::figure4a(), &grid) {
+            if let (Some(o), Some(c)) = (row.ours, row.combined) {
+                assert!(
+                    c + 1e-12 >= o,
+                    "combined below ours at Ld={} Ad={}",
+                    row.latency_bound,
+                    row.area_bound
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn improvement_percentages_match_formula() {
+        let row = SweepRow {
+            baseline: Some(0.48467),
+            ours: Some(0.59998),
+            combined: Some(0.59998),
+            ..SweepRow::empty(10, 9)
+        };
+        // The paper's Table 2a first row reports 23.79%.
+        assert!((row.improvement_pct().unwrap() - 23.79).abs() < 0.01);
+        assert!((row.combined_improvement_pct().unwrap() - 23.79).abs() < 0.01);
+    }
+
+    #[test]
+    fn figure8_style_curves_are_monotone_for_figure4a() {
+        // A 1-D grid: inheritance along one loosening axis.
+        let e = engine(2);
+        let latency_curve: Vec<(u32, u32)> =
+            [4u32, 5, 6, 8, 10, 12].iter().map(|&l| (l, 4)).collect();
+        let area_curve: Vec<(u32, u32)> = [1u32, 2, 3, 4, 6, 8].iter().map(|&a| (6, a)).collect();
+        for (axis, grid) in [("latency", latency_curve), ("area", area_curve)] {
+            let rows = sweep(&e, rchls_workloads::figure4a(), &grid);
+            let feasible: Vec<f64> = rows.iter().filter_map(|r| r.ours).collect();
+            assert!(!feasible.is_empty(), "{axis}");
+            for w in feasible.windows(2) {
+                assert!(w[1] + 1e-9 >= w[0], "loosening {axis} lowered reliability");
+            }
+        }
+    }
+
+    #[test]
+    fn averages_and_formatting() {
+        let rows = sweep(&engine(1), rchls_workloads::figure4a(), &[(5, 4), (6, 5)]);
+        let (b, o, c) = averages(&rows);
+        assert!(b > 0.0 && o > 0.0 && c > 0.0);
+        assert!(c + 1e-12 >= o);
+        let table = format_table(&rows);
+        assert!(table.contains("Ref[3]"));
+        assert!(table.lines().count() == rows.len() + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown scheduler")]
+    fn sweep_point_rejects_mistyped_pass_ids() {
+        // A single sweep point through the shard path (the partial-grid
+        // fan-out) refuses the mistyped id too.
+        let task = ExploreTask::new("figure4a", rchls_workloads::figure4a(), vec![(5, 4)]);
+        let _ = crate::explore_shard(
+            &engine(1),
+            &task,
+            &FlowSpec::default().with_scheduler("densty"),
+            RedundancyModel::default(),
+            0,
+            1,
+        );
+    }
+
+    #[test]
+    fn all_five_builtins_run_through_the_trait() {
+        let g = rchls_workloads::figure4a();
         let lib = Library::table1();
+        let bounds = Bounds::new(8, 8);
+        for id in ["baseline", "ours", "combined", "pipelined", "redundancy"] {
+            let strategy = flow::strategy(id).unwrap_or_else(|| panic!("{id} is registered"));
+            assert_eq!(strategy.id(), id);
+            let report = strategy
+                .run(&SynthRequest::new(&g, &lib, bounds))
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert!(report.design.latency <= bounds.latency, "{id}");
+            assert!(report.design.area <= bounds.area, "{id}");
+        }
+    }
+
+    #[test]
+    fn exploration_builds_a_nonempty_frontier() {
         let tasks = vec![
             ExploreTask::new(
                 "figure4a",
@@ -463,14 +593,11 @@ mod tests {
             ),
             ExploreTask::new("diffeq", rchls_workloads::diffeq(), vec![(6, 11)]),
         ];
-        let cache = SynthCache::new();
         let out = explore(
+            &engine(4),
             &tasks,
-            &lib,
             &FlowSpec::default(),
             RedundancyModel::default(),
-            SweepExecutor::new(4),
-            &cache,
         );
         assert_eq!(out.sweeps.len(), 2);
         assert_eq!(out.sweeps[0].rows.len(), 2);
@@ -486,7 +613,7 @@ mod tests {
         // Frontier strategies are registry ids; rows carry scrubbed
         // diagnostics for each feasible strategy run.
         for p in out.frontier.points() {
-            assert!(["baseline", "ours", "combined"].contains(&p.strategy.as_str()));
+            assert!(TABLE2_STRATEGIES.contains(&p.strategy.as_str()));
         }
         for sweep in &out.sweeps {
             for row in &sweep.rows {
@@ -506,12 +633,10 @@ mod tests {
             vec![(5, 4)],
         )];
         let _ = explore(
+            &engine(1),
             &tasks,
-            &Library::table1(),
             &FlowSpec::default().with_scheduler("densty"),
             RedundancyModel::default(),
-            SweepExecutor::serial(),
-            &SynthCache::new(),
         );
     }
 
@@ -521,12 +646,10 @@ mod tests {
         assert_eq!(task.workload.as_deref(), Some("random:18x4@0"));
         assert_eq!(task.dfg.node_count(), 18);
         let out = explore(
+            &engine(1),
             &[task],
-            &Library::table1(),
             &FlowSpec::default(),
             RedundancyModel::default(),
-            SweepExecutor::serial(),
-            &SynthCache::new(),
         );
         assert_eq!(out.sweeps[0].workload.as_deref(), Some("random:18x4@0"));
         // Tasks built from bare graphs carry no spec.
@@ -554,14 +677,9 @@ mod tests {
         assert!(!a.is_empty());
         // The loosest corner must be feasible.
         let &(l, ar) = a.last().unwrap();
-        assert!(StrategyKind::Ours
-            .run(
-                &dfg,
-                &lib,
-                Bounds::new(l, ar),
-                &FlowSpec::default(),
-                RedundancyModel::default()
-            )
+        assert!(flow::strategy("ours")
+            .unwrap()
+            .run(&SynthRequest::new(&dfg, &lib, Bounds::new(l, ar)))
             .is_ok());
     }
 }

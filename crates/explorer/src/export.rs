@@ -4,10 +4,9 @@
 //! archive, struct fields serialize in declaration order, and floats use
 //! Rust's shortest round-trip formatting.
 
-use crate::explore::Exploration;
+use crate::explore::{Exploration, SweepRow};
 use crate::pareto::ParetoArchive;
 use crate::shard::SweepShard;
-use rchls_core::explore::SweepRow;
 use std::fmt::Write as _;
 
 /// The frontier as pretty-printed JSON.

@@ -1,9 +1,9 @@
 //! Checkpoint/resume for long sweeps.
 //!
 //! A checkpointed sweep runs in two phases. The *warm phase* pushes the
-//! grid's pending points through the synthesis cache — and therefore
-//! into the attached [`ResultStore`] — in chunks, writing a
-//! [`SweepCheckpoint`] after each chunk. The *assembly phase* is a plain
+//! grid's pending points through the engine's synthesis cache — and
+//! therefore into its attached [`ResultStore`](rchls_store::ResultStore)
+//! — in chunks, writing a [`SweepCheckpoint`] after each chunk. The *assembly phase* is a plain
 //! [`explore`](crate::explore()) over the full grid: every point is
 //! answered from the cache tiers, so the emitted document is
 //! byte-identical to an uninterrupted run no matter where (or how often)
@@ -12,12 +12,12 @@
 //! checkpoint from a different sweep (or a different library) is
 //! ignored, never adopted.
 
-use crate::explore::{synthesize_points, ExploreTask};
+use crate::explore::{synthesize_points, table2_strategies, ExploreTask};
 use crate::pareto::ParetoArchive;
-use rchls_core::engine::{Fingerprint, SweepExecutor, SynthCache};
-use rchls_core::{FlowSpec, RedundancyModel, StrategyKind};
+use rchls_core::engine::Fingerprint;
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
 use rchls_reslib::Library;
-use rchls_store::{Lookup, ResultStore};
+use rchls_store::Lookup;
 use serde::{Deserialize, Serialize};
 
 /// On-disk schema version of [`SweepCheckpoint`] documents.
@@ -37,13 +37,13 @@ pub fn sweep_fingerprint(
     let mut fp = Fingerprint::new();
     fp.update(&task.name);
     fp.update(&task.workload);
-    fp.update(&task.dfg);
+    fp.update(&*task.dfg);
     fp.update(library);
     fp.update(&task.grid);
     fp.update(flow);
     fp.update(&model);
-    for kind in StrategyKind::TABLE2 {
-        fp.update(&kind.strategy().fingerprint_token());
+    for strategy in table2_strategies() {
+        fp.update(&strategy.fingerprint_token());
     }
     fp.finish()
 }
@@ -97,21 +97,15 @@ pub struct ResumeOutcome {
 /// A checkpointed warm pass over one sweep: the configuration bundle for
 /// [`CheckpointedSweep::run`].
 pub struct CheckpointedSweep<'a> {
+    /// The session to sweep on; its attached store holds the warmed
+    /// results and the checkpoints.
+    pub engine: &'a Engine,
     /// The benchmark and its full bound grid.
     pub task: &'a ExploreTask,
-    /// The component library.
-    pub library: &'a Library,
     /// The synthesis flow.
     pub flow: &'a FlowSpec,
     /// The redundancy model.
     pub model: RedundancyModel,
-    /// The executor to fan point jobs over.
-    pub executor: &'a SweepExecutor,
-    /// The synthesis cache; must have `store` attached so warmed points
-    /// survive the process.
-    pub cache: &'a SynthCache,
-    /// The persistent store holding results and checkpoints.
-    pub store: &'a ResultStore,
     /// Checkpoint after every this many grid points (clamped to ≥ 1).
     pub every: usize,
     /// Adopt a matching prior checkpoint instead of starting over.
@@ -126,20 +120,21 @@ impl CheckpointedSweep<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `flow` names an unknown pass id (matching
-    /// [`crate::explore`]'s contract).
+    /// Panics if the engine has no store attached, or if `flow` names an
+    /// unknown pass id (matching [`crate::explore`]'s contract).
     #[must_use]
     pub fn run(&self) -> ResumeOutcome {
-        if let Err(e) = self.flow.resolve() {
-            panic!("checkpointed sweep: {e}");
-        }
+        let store = self
+            .engine
+            .store()
+            .expect("a checkpointed sweep persists through the engine's result store");
         let fingerprint = self.fingerprint();
         let total_points = self.task.grid.len();
         let mut completed: Vec<u32> = Vec::new();
         let mut frontier = ParetoArchive::new();
         let mut resumed = false;
         if self.resume {
-            if let Lookup::Hit(payload) = self.store.load_checkpoint(fingerprint) {
+            if let Lookup::Hit(payload) = store.load_checkpoint(fingerprint) {
                 if let Ok(checkpoint) = decode_checkpoint(&payload) {
                     if checkpoint.schema_version == CHECKPOINT_SCHEMA_VERSION
                         && checkpoint.fingerprint == fingerprint
@@ -161,15 +156,8 @@ impl CheckpointedSweep<'_> {
         for chunk in pending.chunks(self.every.max(1)) {
             let points: Vec<(u32, u32)> =
                 chunk.iter().map(|&i| self.task.grid[i as usize]).collect();
-            let (_rows, candidates) = synthesize_points(
-                self.task,
-                &points,
-                self.library,
-                self.flow,
-                self.model,
-                self.executor,
-                self.cache,
-            );
+            let (_rows, candidates) =
+                synthesize_points(self.engine, self.task, &points, self.flow, self.model);
             frontier.extend(candidates);
             completed.extend_from_slice(chunk);
             completed.sort_unstable();
@@ -179,8 +167,7 @@ impl CheckpointedSweep<'_> {
                 completed: completed.clone(),
                 frontier: frontier.clone(),
             };
-            if self
-                .store
+            if store
                 .save_checkpoint(fingerprint, &encode_checkpoint(&snapshot))
                 .is_ok()
             {
@@ -199,13 +186,15 @@ impl CheckpointedSweep<'_> {
     /// The [`sweep_fingerprint`] of this configuration.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        sweep_fingerprint(self.task, self.library, self.flow, self.model)
+        sweep_fingerprint(self.task, self.engine.library(), self.flow, self.model)
     }
 
     /// Removes this sweep's checkpoint — call once the final document
     /// has been assembled and emitted.
     pub fn clear(&self) {
-        self.store.remove_checkpoint(self.fingerprint());
+        if let Some(store) = self.engine.store() {
+            store.remove_checkpoint(self.fingerprint());
+        }
     }
 }
 
@@ -214,6 +203,7 @@ mod tests {
     use super::*;
     use crate::explore::explore;
     use crate::export::exploration_json;
+    use rchls_store::ResultStore;
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -233,21 +223,24 @@ mod tests {
         .with_workload("builtin:diffeq")
     }
 
-    fn session(store: &Arc<ResultStore>) -> SynthCache {
-        let cache = SynthCache::new();
-        cache.set_store(Arc::clone(store));
-        cache
+    /// A fresh session over `store`, as a new process would open it.
+    fn session(store: &Arc<ResultStore>, jobs: usize) -> Engine {
+        Engine::new(Library::table1())
+            .with_jobs(jobs)
+            .with_store(Arc::clone(store))
+    }
+
+    fn document(engine: &Engine, task: &ExploreTask) -> String {
+        exploration_json(&explore(
+            engine,
+            std::slice::from_ref(task),
+            &FlowSpec::default(),
+            RedundancyModel::default(),
+        ))
     }
 
     fn baseline(task: &ExploreTask) -> String {
-        exploration_json(&explore(
-            std::slice::from_ref(task),
-            &Library::table1(),
-            &FlowSpec::default(),
-            RedundancyModel::default(),
-            SweepExecutor::serial(),
-            &SynthCache::new(),
-        ))
+        document(&Engine::new(Library::table1()).with_jobs(1), task)
     }
 
     #[test]
@@ -272,19 +265,13 @@ mod tests {
         let dir = scratch("full");
         let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
         let task = task();
-        let lib = Library::table1();
         let flow = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let executor = SweepExecutor::new(2);
-        let cache = session(&store);
+        let engine = session(&store, 2);
         let sweep = CheckpointedSweep {
+            engine: &engine,
             task: &task,
-            library: &lib,
             flow: &flow,
-            model,
-            executor: &executor,
-            cache: &cache,
-            store: &store,
+            model: RedundancyModel::default(),
             every: 2,
             resume: false,
         };
@@ -299,15 +286,7 @@ mod tests {
             store.load_checkpoint(sweep.fingerprint()),
             Lookup::Hit(_)
         ));
-        let doc = exploration_json(&explore(
-            std::slice::from_ref(&task),
-            &lib,
-            &flow,
-            model,
-            SweepExecutor::serial(),
-            &cache,
-        ));
-        assert_eq!(doc, baseline(&task));
+        assert_eq!(document(&engine, &task), baseline(&task));
         sweep.clear();
         assert!(matches!(
             store.load_checkpoint(sweep.fingerprint()),
@@ -328,11 +307,9 @@ mod tests {
         // Session 1 "dies" after warming grid points 0 and 1: the store
         // holds their results and a checkpoint naming them complete.
         {
-            let cache = session(&store);
-            let executor = SweepExecutor::serial();
+            let engine = session(&store, 1);
             let points = [task.grid[0], task.grid[1]];
-            let (_rows, candidates) =
-                synthesize_points(&task, &points, &lib, &flow, model, &executor, &cache);
+            let (_rows, candidates) = synthesize_points(&engine, &task, &points, &flow, model);
             let mut frontier = ParetoArchive::new();
             frontier.extend(candidates);
             let fp = sweep_fingerprint(&task, &lib, &flow, model);
@@ -350,16 +327,12 @@ mod tests {
         // Session 2 resumes: skips the finished points, computes the rest,
         // and the assembled document is byte-identical to an uninterrupted
         // run.
-        let cache = session(&store);
-        let executor = SweepExecutor::serial();
+        let engine = session(&store, 1);
         let sweep = CheckpointedSweep {
+            engine: &engine,
             task: &task,
-            library: &lib,
             flow: &flow,
             model,
-            executor: &executor,
-            cache: &cache,
-            store: &store,
             every: 10,
             resume: true,
         };
@@ -367,15 +340,7 @@ mod tests {
         assert!(outcome.resumed);
         assert_eq!(outcome.skipped, 2);
         assert_eq!(outcome.computed, 3);
-        let doc = exploration_json(&explore(
-            std::slice::from_ref(&task),
-            &lib,
-            &flow,
-            model,
-            SweepExecutor::serial(),
-            &cache,
-        ));
-        assert_eq!(doc, baseline(&task));
+        assert_eq!(document(&engine, &task), baseline(&task));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -399,16 +364,12 @@ mod tests {
         store
             .save_checkpoint(fp, &encode_checkpoint(&snapshot))
             .expect("checkpoint writes");
-        let cache = session(&store);
-        let executor = SweepExecutor::serial();
+        let engine = session(&store, 1);
         let sweep = CheckpointedSweep {
+            engine: &engine,
             task: &task,
-            library: &lib,
             flow: &flow,
             model,
-            executor: &executor,
-            cache: &cache,
-            store: &store,
             every: 10,
             resume: true,
         };

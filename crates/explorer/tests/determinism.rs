@@ -1,10 +1,11 @@
 //! Executor determinism and cache-effectiveness guarantees on the real
 //! paper benchmarks.
 
-use rchls_core::explore::sweep;
-use rchls_core::{FlowSpec, RedundancyModel};
+use rchls_core::{flow, Bounds, Engine, FlowSpec, RedundancyModel, SynthRequest};
 use rchls_dfg::Dfg;
-use rchls_explorer::{explore, export, ExploreTask, SweepExecutor, SynthCache};
+use rchls_explorer::{
+    explore, export, inherit, ExploreTask, StrategyDiagnostics, SweepRow, TABLE2_STRATEGIES,
+};
 use rchls_reslib::Library;
 
 /// The Table-2-style grid each benchmark sweeps in these tests (a
@@ -26,46 +27,75 @@ fn benchmark(name: &str) -> Dfg {
         .1()
 }
 
-fn explore_with_jobs(
-    names: &[&str],
-    jobs: usize,
-    cache: &SynthCache,
-) -> rchls_explorer::Exploration {
+fn explore_on(engine: &Engine, names: &[&str]) -> rchls_explorer::Exploration {
     let tasks: Vec<ExploreTask> = names
         .iter()
         .map(|&n| ExploreTask::new(n, benchmark(n), grid_for(n)))
         .collect();
     explore(
+        engine,
         &tasks,
-        &Library::table1(),
         &FlowSpec::default(),
         RedundancyModel::default(),
-        SweepExecutor::new(jobs),
-        cache,
     )
 }
 
+fn engine(jobs: usize) -> Engine {
+    Engine::new(Library::table1()).with_jobs(jobs)
+}
+
+/// The serial reference sweep, independent of the engine, its cache and
+/// its executor: each Table-2 strategy run directly through the trait
+/// at each grid point, then feasibility inheritance.
+fn reference_sweep(dfg: &Dfg, grid: &[(u32, u32)]) -> Vec<SweepRow> {
+    let lib = Library::table1();
+    let raw: Vec<SweepRow> = grid
+        .iter()
+        .map(|&(latency, area)| {
+            let mut row = SweepRow::empty(latency, area);
+            for id in TABLE2_STRATEGIES {
+                let strategy = flow::strategy(id).expect("built-in strategy");
+                let Ok(report) =
+                    strategy.run(&SynthRequest::new(dfg, &lib, Bounds::new(latency, area)))
+                else {
+                    continue;
+                };
+                let reliability = Some(report.design.reliability.value());
+                match id {
+                    "baseline" => row.baseline = reliability,
+                    "ours" => row.ours = reliability,
+                    _ => row.combined = reliability,
+                }
+                row.diagnostics.push(StrategyDiagnostics {
+                    strategy: id.to_owned(),
+                    diagnostics: report.diagnostics.scrubbed(),
+                });
+            }
+            row
+        })
+        .collect();
+    inherit(&raw)
+}
+
 /// Acceptance: the parallel frontier has identical membership to the
-/// serial one, and the parallel rows equal `rchls_core::explore::sweep`,
-/// on fir16, ewf, and diffeq.
+/// serial one, and the parallel rows equal the uncached serial reference
+/// sweep, on fir16, ewf, and diffeq.
 #[test]
 fn parallel_frontier_matches_serial_on_all_paper_benchmarks() {
     for name in ["fir16", "ewf", "diffeq"] {
-        let serial_cache = SynthCache::new();
-        let serial = explore_with_jobs(&[name], 1, &serial_cache);
-        let parallel_cache = SynthCache::new();
-        let parallel = explore_with_jobs(&[name], 4, &parallel_cache);
+        let serial = explore_on(&engine(1), &[name]);
+        let parallel = explore_on(&engine(4), &[name]);
         assert_eq!(
             serial.frontier.points(),
             parallel.frontier.points(),
             "{name}: frontier membership diverged between 1 and 4 jobs"
         );
         assert_eq!(serial.sweeps, parallel.sweeps, "{name}: rows diverged");
-        // And both equal the original serial sweep driver.
-        let reference = sweep(&benchmark(name), &Library::table1(), &grid_for(name));
+        // And both equal the uncached serial reference.
+        let reference = reference_sweep(&benchmark(name), &grid_for(name));
         assert_eq!(
             serial.sweeps[0].rows, reference,
-            "{name}: drifted from core::explore::sweep"
+            "{name}: drifted from the serial reference sweep"
         );
     }
 }
@@ -75,8 +105,8 @@ fn parallel_frontier_matches_serial_on_all_paper_benchmarks() {
 #[test]
 fn json_export_is_byte_identical_across_job_counts() {
     for name in ["fir16", "ewf"] {
-        let one = explore_with_jobs(&[name], 1, &SynthCache::new());
-        let eight = explore_with_jobs(&[name], 8, &SynthCache::new());
+        let one = explore_on(&engine(1), &[name]);
+        let eight = explore_on(&engine(8), &[name]);
         assert_eq!(
             export::frontier_json(&one.frontier),
             export::frontier_json(&eight.frontier),
@@ -90,38 +120,36 @@ fn json_export_is_byte_identical_across_job_counts() {
     }
 }
 
-/// Cache guarantee: repeating a sweep against a warm cache performs zero
+/// Cache guarantee: repeating a sweep on a warm session performs zero
 /// new synthesis calls, and overlapping grids only pay for new points.
 #[test]
 fn repeated_sweep_synthesizes_nothing_new() {
-    let cache = SynthCache::new();
-    let first = explore_with_jobs(&["diffeq"], 2, &cache);
-    let misses_after_first = cache.stats().misses;
+    let engine = engine(2);
+    let first = explore_on(&engine, &["diffeq"]);
+    let misses_after_first = engine.cache_stats().misses;
     assert!(misses_after_first > 0);
 
-    let second = explore_with_jobs(&["diffeq"], 2, &cache);
+    let second = explore_on(&engine, &["diffeq"]);
     assert_eq!(first, second, "cached rerun changed the result");
     assert_eq!(
-        cache.stats().misses,
+        engine.cache_stats().misses,
         misses_after_first,
         "a repeated sweep must be answered entirely from the cache"
     );
-    assert!(cache.stats().hits >= misses_after_first);
+    assert!(engine.cache_stats().hits >= misses_after_first);
 
     // A superset grid pays only for the genuinely new points.
     let mut grid = grid_for("diffeq");
     grid.push((6, 15));
     let tasks = [ExploreTask::new("diffeq", benchmark("diffeq"), grid)];
     let _ = explore(
+        &engine,
         &tasks,
-        &Library::table1(),
         &FlowSpec::default(),
         RedundancyModel::default(),
-        SweepExecutor::new(2),
-        &cache,
     );
     assert_eq!(
-        cache.stats().misses,
+        engine.cache_stats().misses,
         misses_after_first + 3,
         "one new grid point = exactly three new synthesis runs"
     );

@@ -1,7 +1,34 @@
-//! Property-based tests for the Pareto archive.
+//! Property-based tests for the Pareto archive and the sweep tables.
+//!
+//! The sweep case count is kept small: every case runs the full
+//! portfolio engine (greedy + uniform starts + allocation search +
+//! refinement) for three strategies over a 2×3 grid.
 
 use proptest::prelude::*;
-use rchls_explorer::{FrontierPoint, ParetoArchive};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
+use rchls_dfg::{Dfg, NodeId, OpKind};
+use rchls_explorer::{explore, ExploreTask, FrontierPoint, ParetoArchive};
+use rchls_reslib::Library;
+
+fn small_dag() -> impl Strategy<Value = Dfg> {
+    (3usize..10).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n), 0..n);
+        let kinds = proptest::collection::vec(0u8..5, n);
+        (Just(n), edges, kinds).prop_map(|(_n, edges, kinds)| {
+            let mut g = Dfg::new("random");
+            for (i, k) in kinds.iter().enumerate() {
+                g.add_node(OpKind::ALL[*k as usize], format!("v{i}"));
+            }
+            for (a, b) in edges {
+                let (lo, hi) = (a.min(b), a.max(b));
+                if lo != hi {
+                    let _ = g.add_edge(NodeId::new(lo as u32), NodeId::new(hi as u32));
+                }
+            }
+            g
+        })
+    })
+}
 
 fn points() -> impl Strategy<Value = Vec<FrontierPoint>> {
     proptest::collection::vec((1u32..20, 1u32..20, 0u32..1000, 0u32..3), 1..40).prop_map(|raw| {
@@ -80,5 +107,39 @@ proptest! {
             prop_assert!(!again.insert(p));
         }
         prop_assert_eq!(archive.points(), again.points());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sweep_columns_are_monotone_under_dominance(g in small_dag()) {
+        let n = g.node_count() as u32;
+        let grid: Vec<(u32, u32)> = [2 * n, 3 * n]
+            .iter()
+            .flat_map(|&l| [6u32, 10, 14].map(move |a| (l, a)))
+            .collect();
+        let engine = Engine::new(Library::table1()).with_jobs(1);
+        let task = ExploreTask::new("random", g, grid);
+        let rows = explore(&engine, &[task], &FlowSpec::default(), RedundancyModel::default())
+            .sweeps
+            .remove(0)
+            .rows;
+        for a in &rows {
+            for b in &rows {
+                if a.latency_bound <= b.latency_bound && a.area_bound <= b.area_bound {
+                    for (va, vb) in [(a.baseline, b.baseline), (a.ours, b.ours), (a.combined, b.combined)] {
+                        if let (Some(x), Some(y)) = (va, vb) {
+                            prop_assert!(y + 1e-12 >= x, "dominated cell beat its superior");
+                        }
+                        // Feasibility is inherited too.
+                        if va.is_some() {
+                            prop_assert!(vb.is_some());
+                        }
+                    }
+                }
+            }
+        }
     }
 }

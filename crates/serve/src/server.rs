@@ -43,7 +43,6 @@
 use crate::config::ServeConfig;
 use crate::obs;
 use crate::protocol::{self, ErrorKind, Request, PROTOCOL_VERSION};
-use rchls_core::engine::SweepExecutor;
 use rchls_core::{flow, Engine, RedundancyModel, SynthJob};
 use rchls_explorer::{explore, export, ExploreTask};
 use rchls_reslib::Library;
@@ -915,17 +914,10 @@ fn explore_result(
         .map_err(|e| Fail::BadRequest(e.to_string()))?;
     check_deadline(deadline, "deadline expired before exploration")?;
     let tasks = [
-        ExploreTask::new(workload.dfg.name(), (*workload.dfg).clone(), grid)
-            .with_workload(workload.spec.clone()),
+        ExploreTask::new(workload.dfg.name().to_owned(), workload.dfg, grid)
+            .with_workload(workload.spec),
     ];
-    let exploration = explore(
-        &tasks,
-        shared.engine.library(),
-        &flow,
-        RedundancyModel::default(),
-        SweepExecutor::new(shared.engine.jobs()),
-        shared.engine.cache(),
-    );
+    let exploration = explore(&shared.engine, &tasks, &flow, RedundancyModel::default());
     check_deadline(deadline, "deadline expired during exploration")?;
     let doc = export::exploration_json(&exploration);
     serde_json::from_str(&doc)

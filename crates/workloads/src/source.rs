@@ -332,6 +332,34 @@ pub fn load_workload(spec: &str) -> Result<Workload, WorkloadError> {
 mod tests {
     use super::*;
 
+    /// A scratch directory owned by one test: the process id plus a
+    /// per-process counter keep concurrent tests (and concurrent test
+    /// processes) from sharing files, and the directory is removed on
+    /// drop.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(tag: &str) -> TestDir {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("rchls-workloads-{tag}-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn builtin_specs_resolve_to_the_same_graphs_as_the_constructors() {
         for (name, ctor) in crate::all_benchmarks() {
@@ -375,8 +403,7 @@ mod tests {
 
     #[test]
     fn file_specs_parse_and_missing_files_report() {
-        let dir = std::env::temp_dir().join("rchls-workload-source-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("file-spec");
         let path = dir.join("tiny.dfg");
         std::fs::write(&path, "graph tiny\nop a add\nop b mul\na -> b\n").unwrap();
         let spec = format!("file:{}", path.display());
@@ -393,8 +420,7 @@ mod tests {
 
     #[test]
     fn malformed_file_specs_carry_path_and_line() {
-        let dir = std::env::temp_dir().join("rchls-workload-source-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("malformed-file-spec");
         // A per-line problem reports the path and the offending line.
         let bad = dir.join("bad-line.dfg");
         std::fs::write(&bad, "graph g\nop a add\na -> ghost\n").unwrap();

@@ -17,15 +17,16 @@
 //!   scheduling;
 //! * [`bind`] — version assignments, left-edge and coloring binders;
 //! * [`core`] — the Figure-6 synthesis algorithm, the NMR baseline, the
-//!   combined approach, sweep drivers, the dual-objective extensions,
+//!   combined approach, the dual-objective extensions,
 //!   the trait-based flow/strategy API (`core::flow`): pluggable
 //!   scheduler/binder/victim/refine passes and whole strategies, named by
 //!   registry id, returning diagnostics-carrying synthesis reports — and
 //!   the session-oriented batch engine (`core::engine`): interned
 //!   workloads and libraries, a fingerprint synthesis cache, and
 //!   deterministic parallel `synth_batch`;
-//! * [`explorer`] — parallel design-space exploration: sweeps over
-//!   workload specs and the Pareto archive;
+//! * [`explorer`] — design-space exploration on the session engine:
+//!   the Table-2 sweep over workload specs (sharded and resumable
+//!   variants included) and the Pareto archive;
 //! * [`workloads`] — the FIR16 / EWF / DiffEq benchmark graphs plus the
 //!   open `WorkloadSource` spec registry (`builtin:` / `random:` /
 //!   `file:`).

@@ -3,9 +3,8 @@
 //! ablations (strict Figure-6 vs portfolio, victim policy).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rchls_core::{
-    synthesize_combined, synthesize_nmr_baseline, Bounds, FlowSpec, RedundancyModel, Synthesizer,
-};
+use rchls_core::flow::{Baseline, Combined, Ours};
+use rchls_core::{Bounds, FlowSpec, Strategy, SynthRequest};
 use rchls_reslib::Library;
 use rchls_workloads::{random_layered_dfg, RandomDfgConfig};
 use std::hint::black_box;
@@ -23,32 +22,19 @@ fn bench_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("strategy");
     group.sample_size(10);
     for (name, dfg, bounds) in paper_benchmark_bounds() {
-        group.bench_with_input(BenchmarkId::new("ours", name), &dfg, |b, dfg| {
-            b.iter(|| black_box(Synthesizer::new(dfg, &library).synthesize(black_box(bounds))).ok())
-        });
-        group.bench_with_input(BenchmarkId::new("baseline", name), &dfg, |b, dfg| {
-            b.iter(|| {
-                black_box(synthesize_nmr_baseline(
-                    dfg,
-                    &library,
-                    black_box(bounds),
-                    RedundancyModel::default(),
-                ))
-                .ok()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("combined", name), &dfg, |b, dfg| {
-            b.iter(|| {
-                black_box(synthesize_combined(
-                    dfg,
-                    &library,
-                    black_box(bounds),
-                    &FlowSpec::default(),
-                    RedundancyModel::default(),
-                ))
-                .ok()
-            })
-        });
+        let strategies: [(&str, &dyn Strategy); 3] = [
+            ("ours", &Ours),
+            ("baseline", &Baseline),
+            ("combined", &Combined),
+        ];
+        for (id, strategy) in strategies {
+            group.bench_with_input(BenchmarkId::new(id, name), &dfg, |b, dfg| {
+                b.iter(|| {
+                    black_box(strategy.run(&SynthRequest::new(dfg, &library, black_box(bounds))))
+                        .ok()
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -67,7 +53,7 @@ fn bench_scaling(c: &mut Criterion) {
         // Loose-ish bounds so every size is feasible.
         let bounds = Bounds::new(3 * nodes as u32, 2 * nodes as u32);
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &dfg, |b, dfg| {
-            b.iter(|| black_box(Synthesizer::new(dfg, &library).synthesize(bounds)).ok())
+            b.iter(|| black_box(Ours.run(&SynthRequest::new(dfg, &library, bounds))).ok())
         });
     }
     group.finish();
@@ -91,9 +77,7 @@ fn bench_ablations(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 black_box(
-                    Synthesizer::with_flow(&dfg, &library, &flow)
-                        .expect("built-in flow ids resolve")
-                        .synthesize(bounds),
+                    Ours.run(&SynthRequest::new(&dfg, &library, bounds).with_flow(flow.clone())),
                 )
                 .ok()
             })

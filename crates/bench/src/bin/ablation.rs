@@ -7,7 +7,8 @@
 //! alternatives, and the victim-selection policy — every variant named
 //! purely by flow-registry pass ids.
 
-use rchls_core::{Bounds, FlowSpec, Synthesizer};
+use rchls_core::flow::Ours;
+use rchls_core::{Bounds, FlowSpec, Strategy, SynthRequest};
 use rchls_reslib::Library;
 
 fn main() {
@@ -42,10 +43,9 @@ fn main() {
     for (label, flow) in &flows {
         print!("{label:<28}");
         for (_, dfg, bounds) in &cases {
-            let synth =
-                Synthesizer::with_flow(dfg, &library, flow).expect("built-in flow ids resolve");
-            match synth.synthesize(*bounds) {
-                Ok(d) => print!(" {:>16}", d.reliability.to_string()),
+            let request = SynthRequest::new(dfg, &library, *bounds).with_flow(flow.clone());
+            match Ours.run(&request) {
+                Ok(r) => print!(" {:>16}", r.design.reliability.to_string()),
                 Err(_) => print!(" {:>16}", "no solution"),
             }
         }

@@ -3,7 +3,8 @@
 //! the reliability-centric design (b).
 
 use rchls_bind::{bind_left_edge, Assignment};
-use rchls_core::{Bounds, Synthesizer};
+use rchls_core::flow::Ours;
+use rchls_core::{Bounds, Strategy, SynthRequest};
 use rchls_reslib::Library;
 use rchls_sched::schedule_density;
 
@@ -29,8 +30,9 @@ fn main() {
     );
 
     // (b) Reliability-centric design at the same bounds.
-    let design = Synthesizer::new(&dfg, &library)
-        .synthesize(bounds)
+    let design = Ours
+        .run(&SynthRequest::new(&dfg, &library, bounds))
+        .map(|r| r.design)
         .expect("figure 5 bounds are feasible");
     println!("== Figure 5(b): reliability-centric selection ==");
     println!("{}", design.render(&dfg, &library));
@@ -41,8 +43,9 @@ fn main() {
          EXPERIMENTS.md. Loosening the latency bound by one cycle lets the\n\
          mixed design win, which is the paper's actual point:"
     );
-    let relaxed = Synthesizer::new(&dfg, &library)
-        .synthesize(Bounds::new(6, 4))
+    let relaxed = Ours
+        .run(&SynthRequest::new(&dfg, &library, Bounds::new(6, 4)))
+        .map(|r| r.design)
         .expect("relaxed bounds are feasible");
     println!(
         "\n== Ld = 6, Ad = 4: mixed versions beat any single version ==\n{}",

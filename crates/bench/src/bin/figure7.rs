@@ -7,7 +7,8 @@
 //! comparison at the shifted knee Ld = 12, Ad = 8.
 
 use rchls_bind::{bind_left_edge, Assignment};
-use rchls_core::{Bounds, Synthesizer};
+use rchls_core::flow::Ours;
+use rchls_core::{Bounds, Strategy, SynthRequest};
 use rchls_dfg::OpClass;
 use rchls_reslib::Library;
 use rchls_sched::schedule_density;
@@ -42,8 +43,9 @@ fn main() {
     );
 
     // (b) Reliability-centric.
-    let design = Synthesizer::new(&dfg, &library)
-        .synthesize(bounds)
+    let design = Ours
+        .run(&SynthRequest::new(&dfg, &library, bounds))
+        .map(|r| r.design)
         .expect("figure 7 shifted bounds are feasible");
     println!("== Figure 7(b): reliability-centric approach ==");
     println!("{}", design.render(&dfg, &library));

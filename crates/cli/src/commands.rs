@@ -2,10 +2,10 @@
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use rchls_core::engine::{CacheKey, CacheStats, SynthCache};
+use rchls_core::engine::{CacheKey, CacheStats};
 use rchls_core::{
     flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, FlowSpec, RedundancyModel,
-    SynthJob, SynthRequest, Synthesizer,
+    SynthJob, SynthReport, SynthRequest,
 };
 use rchls_explorer::{
     explore, explore_shard, export, format_table, CheckpointedSweep, ExploreTask,
@@ -25,7 +25,8 @@ pub fn help() -> String {
      \x20 rchls synth --workload SPEC [--latency N] [--area N]\n\
      \x20       [--strategy <id>|paper] [--ii N] [--report json] [--trace FILE]\n\
      \x20       [--scheduler <id>] [--binder <id>] [--victim <id>] [--refine <id>]\n\
-     \x20       [--library <file>] [--mission-time T] [--store DIR]\n\
+     \x20       [--library <file>] [--mission-time T] [--jobs N]\n\
+     \x20       [--cache-budget BYTES] [--store DIR]\n\
      \x20 rchls sweep --workload SPEC --latencies L1,L2,... --areas A1,A2,...\n\
      \x20       [--format table|json|csv] [--jobs N] [--cache-budget BYTES]\n\
      \x20       [--store DIR] [--shard I/N] [--checkpoint-every N] [--resume]\n\
@@ -53,6 +54,8 @@ pub fn help() -> String {
      \x20 rchls list\n\
      \x20 rchls characterize [--width N] [--trials N] [--seed N]\n\
      \x20 rchls validate --workload SPEC --latency N --area N [--trials N] [--seed N]\n\
+     \x20       [--strategy <id>|paper] [--ii N] [pass, library and session\n\
+     \x20       flags as for synth]\n\
      \x20 rchls help\n\
      \n\
      a workload SPEC is `scheme:rest` resolved through the open source\n\
@@ -105,9 +108,9 @@ pub fn help() -> String {
      request, successful synth responses byte-identical to the offline\n\
      engine (`--report FILE` writes the verdict document).\n\
      \n\
-     persistence: `--store DIR` (synth, sweep, pareto, batch, serve)\n\
-     backs the in-memory cache with an on-disk content-addressed result\n\
-     store — warm runs replay stored reports byte-identically, corrupt\n\
+     persistence: `--store DIR` (synth, validate, sweep, pareto, batch,\n\
+     serve) backs the in-memory cache with an on-disk content-addressed\n\
+     result store — warm runs replay stored reports byte-identically, corrupt\n\
      entries are quarantined and recomputed, never served. `rchls store\n\
      stats|gc|verify` inspects and maintains a store (gc takes\n\
      --max-age-days and/or --max-bytes; verify re-synthesizes entries\n\
@@ -119,11 +122,12 @@ pub fn help() -> String {
      shard set into the byte-identical unsharded document. See\n\
      docs/store.md for the on-disk format and workflows.\n\
      \n\
-     global flags: --jobs N sizes the worker pool of the sweep, pareto,\n\
-     batch, and serve commands (omitted = one worker per CPU; an explicit\n\
-     --jobs 0 is rejected); parallel runs produce byte-identical output\n\
-     to serial runs. --cache-budget takes `unlimited` or a byte count\n\
-     with B/KiB/MiB/GiB suffixes.\n"
+     global flags: every synthesizing command (synth, validate, sweep,\n\
+     pareto, batch, serve) runs on one session engine. --jobs N sizes\n\
+     its worker pool (omitted = one worker per CPU; an explicit --jobs 0\n\
+     is rejected); parallel runs produce byte-identical output to serial\n\
+     runs. --cache-budget takes `unlimited` or a byte count with\n\
+     B/KiB/MiB/GiB suffixes.\n"
         .to_owned()
 }
 
@@ -315,14 +319,16 @@ fn flow_from_args(args: &ParsedArgs) -> Result<FlowSpec, CliError> {
     Ok(spec)
 }
 
-/// Resolves `--latency`/`--area` for `rchls synth`. A missing flag
+/// Resolves `--latency`/`--area`. With `default_bounds` a missing flag
 /// defaults to the loosest corner of the default exploration grid —
 /// always feasible — so trace-oriented invocations (`synth --workload
-/// random:64x8@0 --trace trace.json`) work without hand-picked bounds.
-fn synth_bounds(
+/// random:64x8@0 --trace trace.json`) work without hand-picked bounds;
+/// otherwise both flags are required.
+fn bounds_arg(
     args: &ParsedArgs,
     dfg: &rchls_dfg::Dfg,
     library: &Library,
+    default_bounds: bool,
 ) -> Result<Bounds, CliError> {
     let loosest = |pick: fn(&(u32, u32)) -> u32| -> Result<u32, CliError> {
         let grid =
@@ -336,12 +342,12 @@ fn synth_bounds(
         Ok(grid.iter().map(pick).max().unwrap_or(1))
     };
     let latency = match args.get("latency") {
-        Some(_) => positive_bound(args, "latency")?,
-        None => loosest(|&(l, _)| l)?,
+        None if default_bounds => loosest(|&(l, _)| l)?,
+        _ => positive_bound(args, "latency")?,
     };
     let area = match args.get("area") {
-        Some(_) => positive_bound(args, "area")?,
-        None => loosest(|&(_, a)| a)?,
+        None if default_bounds => loosest(|&(_, a)| a)?,
+        _ => positive_bound(args, "area")?,
     };
     Ok(Bounds::new(latency, area))
 }
@@ -384,92 +390,147 @@ fn grid_arg(args: &ParsedArgs) -> Result<Vec<(u32, u32)>, CliError> {
 }
 
 /// The session cache facts of one CLI run as a JSON map: hit/miss
-/// counters plus table sizes for the synthesis, start-pool, and
-/// allocation-design caches (ROADMAP's unbounded-growth watch numbers).
-fn session_caches_value(cache: &SynthCache) -> serde::Value {
+/// counters (plus each table's hit rate when `hit_rates` is set) and
+/// table sizes for the synthesis, start-pool, and allocation-design
+/// caches (ROADMAP's unbounded-growth watch numbers).
+fn session_caches_value(engine: &Engine, hit_rates: bool) -> serde::Value {
+    let key = |k: &str| serde::Value::Str(k.to_owned());
     let table = |stats: CacheStats, size_key: &str, size: usize| {
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("hits".to_owned()),
-                serde::Value::UInt(stats.hits),
-            ),
-            (
-                serde::Value::Str("misses".to_owned()),
-                serde::Value::UInt(stats.misses),
-            ),
-            (
-                serde::Value::Str(size_key.to_owned()),
-                serde::Value::UInt(size as u64),
-            ),
-        ])
+        let mut fields = vec![
+            (key("hits"), serde::Value::UInt(stats.hits)),
+            (key("misses"), serde::Value::UInt(stats.misses)),
+        ];
+        if hit_rates {
+            fields.push((key("hit_rate"), serde::Value::Float(stats.hit_rate())));
+        }
+        fields.push((key(size_key), serde::Value::UInt(size as u64)));
+        serde::Value::Map(fields)
     };
-    let starts = cache.starts_cache();
     serde::Value::Map(vec![
         (
-            serde::Value::Str("synth_cache".to_owned()),
-            table(cache.stats(), "points", cache.len()),
+            key("synth_cache"),
+            table(engine.cache_stats(), "points", engine.memoized_points()),
         ),
         (
-            serde::Value::Str("starts_cache".to_owned()),
-            table(starts.stats(), "pools", starts.len()),
+            key("starts_cache"),
+            table(engine.starts_cache_stats(), "pools", engine.starts_pools()),
         ),
         (
-            serde::Value::Str("alloc_cache".to_owned()),
-            table(starts.alloc_stats(), "designs", starts.alloc_len()),
+            key("alloc_cache"),
+            table(
+                engine.alloc_cache_stats(),
+                "designs",
+                engine.alloc_designs(),
+            ),
         ),
     ])
 }
 
+/// The one design point `rchls synth` and `rchls validate` build from
+/// their flags: workload, bounds, flow, and strategy.
+struct DesignArgs {
+    workload: Workload,
+    bounds: Bounds,
+    flow: FlowSpec,
+    strategy: Arc<dyn rchls_core::Strategy>,
+    /// What `synth` prints above the design.
+    header: String,
+}
+
+impl DesignArgs {
+    /// Resolves the workload (`--workload`/`--dfg`), the bounds, the pass
+    /// flags, `--strategy <id>|paper` and `--ii`. With
+    /// `default_bounds`, a missing `--latency`/`--area` takes the
+    /// loosest corner of the default exploration grid; otherwise both
+    /// are required.
+    fn parse(
+        args: &ParsedArgs,
+        library: &Library,
+        default_bounds: bool,
+    ) -> Result<DesignArgs, CliError> {
+        let workload = load_workload_arg(args)?;
+        let bounds = bounds_arg(args, &workload.dfg, library, default_bounds)?;
+        let mut flow = flow_from_args(args)?;
+        let requested = args.get("strategy").unwrap_or("ours");
+        // `paper` is shorthand for the strict Figure-6 flow: `ours` with
+        // the refine pass off (an explicit --refine flag still wins).
+        let strategy_id = if requested == "paper" {
+            if args.get("refine").is_none() {
+                flow = flow.with_refine("off");
+            }
+            "ours"
+        } else {
+            requested
+        };
+        let (strategy, header): (Arc<dyn rchls_core::Strategy>, String) = match args.get("ii") {
+            Some(_) => {
+                let ii = args.required_u32("ii")?;
+                if !matches!(strategy_id, "ours" | "pipelined") {
+                    return Err(CliError::BadValue {
+                        flag: "ii".to_owned(),
+                        reason: format!("only applies to the pipelined flow, not {requested:?}"),
+                    });
+                }
+                if ii == 0 {
+                    return Err(CliError::BadValue {
+                        flag: "ii".to_owned(),
+                        reason: "initiation interval must be positive".to_owned(),
+                    });
+                }
+                (
+                    Arc::new(flow::Pipelined::with_ii(ii)),
+                    format!("pipelined design ({bounds}, II={ii}):\n"),
+                )
+            }
+            None => {
+                let strategy = flow::strategy(strategy_id).ok_or_else(|| CliError::BadValue {
+                    flag: "strategy".to_owned(),
+                    reason: format!(
+                        "{requested:?} is not a registered strategy (see `rchls flows`)"
+                    ),
+                })?;
+                (strategy, format!("{requested} design under {bounds}:\n"))
+            }
+        };
+        Ok(DesignArgs {
+            workload,
+            bounds,
+            flow,
+            strategy,
+            header,
+        })
+    }
+
+    /// Synthesizes the point on `engine`. The session cache records an
+    /// infeasible point as `None`, so a miss re-runs the strategy
+    /// uncached to recover the reason.
+    fn synthesize(&self, engine: &Engine) -> Result<SynthReport, CliError> {
+        let dfg = &self.workload.dfg;
+        engine
+            .synth_point(
+                dfg,
+                Some(&self.workload.spec),
+                self.bounds,
+                &self.flow,
+                RedundancyModel::default(),
+                &*self.strategy,
+            )
+            .map_or_else(
+                || {
+                    let request = SynthRequest::new(dfg, engine.library(), self.bounds)
+                        .with_flow(self.flow.clone());
+                    self.strategy.run(&request).map_err(CliError::Synthesis)
+                },
+                Ok,
+            )
+    }
+}
+
 /// `rchls synth`.
 pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
-    // `synth` is single-threaded, but an explicit `--jobs 0` is rejected
-    // here too so the flag means one thing on every command.
-    let _ = jobs_arg(args)?;
     let _faults = faults_arg(args)?;
-    let workload = load_workload_arg(args)?;
-    let dfg = workload.dfg;
-    let library = load_library(args)?;
-    let bounds = synth_bounds(args, &dfg, &library)?;
-    let mut flow_spec = flow_from_args(args)?;
-    let requested = args.get("strategy").unwrap_or("ours");
-    // `paper` is shorthand for the strict Figure-6 flow: `ours` with the
-    // refine pass off (an explicit --refine flag still wins).
-    let strategy_id = if requested == "paper" {
-        if args.get("refine").is_none() {
-            flow_spec = flow_spec.with_refine("off");
-        }
-        "ours"
-    } else {
-        requested
-    };
-    let (strategy, header): (Arc<dyn rchls_core::Strategy>, String) = match args.get("ii") {
-        Some(_) => {
-            let ii = args.required_u32("ii")?;
-            if !matches!(strategy_id, "ours" | "pipelined") {
-                return Err(CliError::BadValue {
-                    flag: "ii".to_owned(),
-                    reason: format!("only applies to the pipelined flow, not {requested:?}"),
-                });
-            }
-            if ii == 0 {
-                return Err(CliError::BadValue {
-                    flag: "ii".to_owned(),
-                    reason: "initiation interval must be positive".to_owned(),
-                });
-            }
-            (
-                Arc::new(flow::Pipelined::with_ii(ii)),
-                format!("pipelined design ({bounds}, II={ii}):\n"),
-            )
-        }
-        None => {
-            let strategy = flow::strategy(strategy_id).ok_or_else(|| CliError::BadValue {
-                flag: "strategy".to_owned(),
-                reason: format!("{requested:?} is not a registered strategy (see `rchls flows`)"),
-            })?;
-            (strategy, format!("{requested} design under {bounds}:\n"))
-        }
-    };
+    let engine = engine_arg(args)?;
+    let design = DesignArgs::parse(args, engine.library(), true)?;
     // Validate the output format before spending time on synthesis.
     let report_json = match args.get("report") {
         Some("json") => true,
@@ -495,25 +556,7 @@ pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
         }
         None => None,
     };
-    // Run through a one-shot session cache so the report JSON can carry
-    // the starts/alloc cache facts of the run; a `None` (infeasible or
-    // failed) replays the uncached run for its full error message.
-    let request = SynthRequest::new(&dfg, &library, bounds).with_flow(flow_spec.clone());
-    let session = SynthCache::new();
-    if let Some(store) = store_arg(args)? {
-        session.set_store(store);
-    }
-    let result = session
-        .synthesize_with_workload(
-            &dfg,
-            &library,
-            bounds,
-            &flow_spec,
-            RedundancyModel::default(),
-            &*strategy,
-            Some(&workload.spec),
-        )
-        .map_or_else(|| strategy.run(&request).map_err(CliError::Synthesis), Ok);
+    let result = design.synthesize(&engine);
     if trace_sink.is_some() {
         let _ = rchls_telemetry::unregister_sink("chrome-trace");
     }
@@ -531,20 +574,20 @@ pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
             0,
             (
                 serde::Value::Str("workload".to_owned()),
-                serde::Value::Str(workload.spec),
+                serde::Value::Str(design.workload.spec),
             ),
         );
         // The run's cache facts ride along so unbounded session growth
         // is visible from the report alone.
         entries.push((
             serde::Value::Str("session".to_owned()),
-            session_caches_value(&session),
+            session_caches_value(&engine, false),
         ));
         let doc = serde::Value::Map(entries);
         return Ok(serde_json::to_string_pretty(&doc).expect("reports serialize") + "\n");
     }
-    let mut out = header;
-    out.push_str(&report.design.render(&dfg, &library));
+    let mut out = design.header;
+    out.push_str(&report.design.render(&design.workload.dfg, engine.library()));
     let d = &report.diagnostics;
     let _ = writeln!(
         out,
@@ -949,14 +992,6 @@ pub fn metrics(args: &ParsedArgs) -> Result<String, CliError> {
         let _ = engine.synth_batch(&jobs);
     }
     let key = |k: &str| serde::Value::Str(k.to_owned());
-    let session_table = |stats: CacheStats, size_key: &str, size: usize| {
-        serde::Value::Map(vec![
-            (key("hits"), serde::Value::UInt(stats.hits)),
-            (key("misses"), serde::Value::UInt(stats.misses)),
-            (key("hit_rate"), serde::Value::Float(stats.hit_rate())),
-            (key(size_key), serde::Value::UInt(size as u64)),
-        ])
-    };
     let doc = serde::Value::Map(vec![
         (
             key("demo"),
@@ -965,27 +1000,7 @@ pub fn metrics(args: &ParsedArgs) -> Result<String, CliError> {
                 (key("runs"), serde::Value::UInt(2)),
             ]),
         ),
-        (
-            key("session"),
-            serde::Value::Map(vec![
-                (
-                    key("synth_cache"),
-                    session_table(engine.cache_stats(), "points", engine.memoized_points()),
-                ),
-                (
-                    key("starts_cache"),
-                    session_table(engine.starts_cache_stats(), "pools", engine.starts_pools()),
-                ),
-                (
-                    key("alloc_cache"),
-                    session_table(
-                        engine.alloc_cache_stats(),
-                        "designs",
-                        engine.alloc_designs(),
-                    ),
-                ),
-            ]),
-        ),
+        (key("session"), session_caches_value(&engine, true)),
         (key("metrics"), rchls_telemetry::metrics::snapshot()),
     ]);
     Ok(serde_json::to_string_pretty(&doc).expect("metrics documents serialize") + "\n")
@@ -1324,20 +1339,21 @@ fn reverify(
 
 /// `rchls validate`.
 pub fn validate(args: &ParsedArgs) -> Result<String, CliError> {
-    let dfg = load_workload_arg(args)?.dfg;
-    let library = load_library(args)?;
-    let bounds = Bounds::new(
-        positive_bound(args, "latency")?,
-        positive_bound(args, "area")?,
-    );
+    let engine = engine_arg(args)?;
+    let design = DesignArgs::parse(args, engine.library(), false)?;
     let trials = args.u32_or("trials", 50_000)? as usize;
     let seed = args.u64_or("seed", 1)?;
-    let flow_spec = flow_from_args(args)?;
-    let design = Synthesizer::with_flow(&dfg, &library, &flow_spec)?.synthesize(bounds)?;
-    let empirical = monte_carlo_reliability(&design, &dfg, &library, trials, seed);
+    let report = design.synthesize(&engine)?;
+    let (bounds, reliability) = (design.bounds, report.design.reliability);
+    let empirical = monte_carlo_reliability(
+        &report.design,
+        &design.workload.dfg,
+        engine.library(),
+        trials,
+        seed,
+    );
     Ok(format!(
-        "design under {bounds}:\n  analytic reliability  = {}\n  empirical reliability = {empirical:.5} ({trials} trials, seed {seed})\n  |difference|          = {:.5}\n",
-        design.reliability,
-        (empirical - design.reliability.value()).abs()
+        "design under {bounds}:\n  analytic reliability  = {reliability}\n  empirical reliability = {empirical:.5} ({trials} trials, seed {seed})\n  |difference|          = {:.5}\n",
+        (empirical - reliability.value()).abs()
     ))
 }

@@ -38,7 +38,8 @@
 //! * `dot`          — emit a DFG in Graphviz DOT;
 //! * `list`         — list the built-in benchmark graphs;
 //! * `characterize` — run the gate-level SEU characterization;
-//! * `validate`     — Monte-Carlo check of a design's analytic reliability;
+//! * `validate`     — Monte-Carlo check of a design's analytic reliability
+//!   (any strategy, resolved from the same flags as `synth`);
 //! * `help`         — usage.
 //!
 //! Strategies (`--strategy`) and passes (`--scheduler`, `--binder`,
@@ -51,17 +52,18 @@
 //! `--dfg <name|file>` flag desugars to `builtin:`/`file:` specs, so
 //! every entry point resolves through the registry.
 //!
-//! The sweep, pareto, batch, and serve commands run on one session
-//! [`rchls_core::Engine`] and accept a global `--jobs N` flag sizing
-//! its worker pool (omitted: one worker per CPU; an explicit `--jobs 0`
-//! is rejected) and `--cache-budget BYTES` bounding its caches; output
-//! is byte-identical at any worker count and budget. Zero latency or
-//! area bounds are refused at the flag. The synth, sweep, pareto, batch,
-//! and serve commands accept `--store DIR`, a persistent
-//! content-addressed result store backing the in-memory cache — warm
-//! runs replay stored reports byte-identically; `sweep` adds
-//! `--shard i/n`, `--checkpoint-every N`, and `--resume` on top of it
-//! (see `docs/store.md`).
+//! Every synthesizing command — synth, validate, sweep, pareto, batch,
+//! and serve — runs on one session [`rchls_core::Engine`] and accepts a
+//! global `--jobs N` flag sizing its worker pool (omitted: one worker
+//! per CPU; an explicit `--jobs 0` is rejected), `--cache-budget BYTES`
+//! bounding its caches, and `--store DIR`, a persistent
+//! content-addressed result store backing the in-memory cache; output
+//! is byte-identical at any worker count, budget, and store state (warm
+//! runs replay stored reports). `synth` and `validate` resolve their
+//! design from the same flags (`--strategy <id>|paper`, `--ii`, the pass
+//! ids). Zero latency or area bounds are refused at the flag. `sweep`
+//! adds `--shard i/n`, `--checkpoint-every N`, and `--resume` on top of
+//! the store (see `docs/store.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -888,6 +890,17 @@ mod tests {
             s(&["batch", "/nonexistent/jobs.json", "--jobs", "0"]),
             s(&["metrics", "--jobs", "0"]),
             s(&["serve", "--check", "--jobs", "0"]),
+            s(&[
+                "validate",
+                "--dfg",
+                "figure4a",
+                "--latency",
+                "6",
+                "--area",
+                "4",
+                "--jobs",
+                "0",
+            ]),
         ];
         for args in cases {
             let err = run(&args).unwrap_err();
@@ -936,6 +949,27 @@ mod tests {
             // Malformed budgets report clearly.
             let err = with(&["--cache-budget", "lots"]).unwrap_err();
             assert!(err.to_string().contains("cache budget"), "{}", command[0]);
+        }
+        // synth and validate run on the same session engine and refuse
+        // the same malformed budget.
+        for command in [
+            s(&["synth", "--dfg", "figure4a"]),
+            s(&[
+                "validate",
+                "--dfg",
+                "figure4a",
+                "--latency",
+                "6",
+                "--area",
+                "4",
+            ]),
+        ] {
+            let err =
+                run(&[command.clone(), s(&["--cache-budget", "banana"])].concat()).unwrap_err();
+            assert!(
+                err.to_string().contains("cache budget"),
+                "{command:?}: {err}"
+            );
         }
     }
 
@@ -1102,6 +1136,108 @@ mod tests {
         let out = run(&s(&["characterize", "--width", "4", "--trials", "200"])).unwrap();
         assert!(out.contains("susceptibility"));
         assert!(out.contains("rca4"));
+    }
+
+    #[test]
+    fn validate_resolves_its_design_like_synth() {
+        let bounds = ["--latency", "8", "--area", "14"];
+        let first_number_after = |text: &str, marker: &str| -> String {
+            let at = text.find(marker).expect(marker) + marker.len();
+            text[at..].split_whitespace().next().unwrap().to_owned()
+        };
+        for strategy in ["combined", "baseline", "ours", "paper"] {
+            let synth = run(&[
+                s(&[
+                    "synth",
+                    "--workload",
+                    "builtin:diffeq",
+                    "--strategy",
+                    strategy,
+                ]),
+                s(&bounds),
+            ]
+            .concat())
+            .unwrap();
+            let validate = run(&[
+                s(&[
+                    "validate",
+                    "--workload",
+                    "builtin:diffeq",
+                    "--strategy",
+                    strategy,
+                ]),
+                s(&bounds),
+                s(&["--trials", "200"]),
+            ]
+            .concat())
+            .unwrap();
+            assert_eq!(
+                first_number_after(&validate, "analytic reliability  = "),
+                first_number_after(&synth, "reliability = "),
+                "{strategy}"
+            );
+        }
+        // The unknown-id teaching error and --ii checks are shared too.
+        let base = s(&[
+            "validate",
+            "--workload",
+            "builtin:diffeq",
+            "--latency",
+            "8",
+            "--area",
+            "14",
+        ]);
+        let err = run(&[base.clone(), s(&["--strategy", "nope"])].concat()).unwrap_err();
+        assert!(err.to_string().contains("rchls flows"), "{err}");
+        let err =
+            run(&[base.clone(), s(&["--strategy", "baseline", "--ii", "2"])].concat()).unwrap_err();
+        assert!(err.to_string().contains("pipelined"), "{err}");
+        let piped = run(&[base, s(&["--ii", "4", "--trials", "200"])].concat()).unwrap();
+        assert!(piped.contains("analytic"), "{piped}");
+    }
+
+    #[test]
+    fn synth_and_validate_open_the_store() {
+        let dir = TestDir::new("validate-store");
+        let store = dir.join("store");
+        let store = store.to_str().unwrap();
+        let validate = s(&[
+            "validate",
+            "--dfg",
+            "diffeq",
+            "--latency",
+            "6",
+            "--area",
+            "11",
+            "--trials",
+            "500",
+            "--store",
+            store,
+        ]);
+        let cold = run(&validate).unwrap();
+        let opened = rchls_store::ResultStore::open(store).unwrap();
+        assert_eq!(opened.stats().objects, 1, "validate writes its point back");
+        // Warm: the same design answers from the store.
+        assert_eq!(run(&validate).unwrap(), cold);
+        // A store path that cannot be opened is refused by both commands.
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, "x").unwrap();
+        let file = file.to_str().unwrap();
+        for mut args in [
+            s(&["synth", "--dfg", "diffeq"]),
+            s(&[
+                "validate",
+                "--dfg",
+                "diffeq",
+                "--latency",
+                "6",
+                "--area",
+                "11",
+            ]),
+        ] {
+            args.extend(s(&["--store", file]));
+            assert!(matches!(run(&args), Err(CliError::Store(_))), "{args:?}");
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The redundancy-based prior art (Orailoglu–Karri [3]) the paper
 //! compares against.
 
-use crate::bounds::Bounds;
 use crate::design::Design;
 use crate::error::SynthesisError;
-use crate::flow::{Diagnostics, FlowSpec, SynthReport};
-use crate::redundancy::{add_redundancy_with_model, RedundancyModel};
+use crate::flow::{Diagnostics, Strategy, SynthReport, SynthRequest};
+use crate::redundancy::add_redundancy_with_model;
 use crate::synth::Synthesizer;
 use rchls_bind::Assignment;
-use rchls_dfg::{Dfg, OpClass};
+use rchls_dfg::OpClass;
 use rchls_reslib::{Library, VersionId};
 
 /// The fixed version the baseline uses for each class: the fastest one,
@@ -18,7 +17,7 @@ use rchls_reslib::{Library, VersionId};
 /// exactly the single-version design the paper uses for \[3\] (its FIR
 /// all-type-2 design scores `0.969²³ = 0.48467`, Table 2a).
 #[must_use]
-pub fn baseline_versions(library: &Library) -> Vec<(OpClass, Option<VersionId>)> {
+pub(crate) fn baseline_versions(library: &Library) -> Vec<(OpClass, Option<VersionId>)> {
     OpClass::ALL
         .iter()
         .map(|&class| {
@@ -31,147 +30,132 @@ pub fn baseline_versions(library: &Library) -> Vec<(OpClass, Option<VersionId>)>
         .collect()
 }
 
-/// Synthesizes a design in the style of Orailoglu–Karri's
-/// "maximize reliability given cost and performance constraints" strategy:
+/// The redundancy-based prior art (Orailoglu–Karri NMR over the fastest
+/// single version per class). Id `"baseline"`.
 ///
-/// 1. every operation uses the *single fixed* version of its class
-///    ([`baseline_versions`]) — prior-art libraries have one implementation
-///    per operation type;
-/// 2. the graph is scheduled time-constrained at `Ld` and bound with
-///    maximal sharing, giving the base allocation and its area;
+/// Synthesizes in the style of Orailoglu–Karri's "maximize reliability
+/// given cost and performance constraints" strategy:
+///
+/// 1. every operation uses the *single fixed* version of its class (the
+///    fastest one, ties broken toward the smaller area) — prior-art
+///    libraries have one implementation per operation type;
+/// 2. the graph is scheduled time-constrained at `Ld` by the request
+///    flow's scheduler and bound with maximal sharing by its binder,
+///    giving the base allocation and its area;
 /// 3. any area left under `Ad` is spent on modular redundancy
-///    ([`add_redundancy_with_model`]).
+///    ([`add_redundancy_with_model`](crate::add_redundancy_with_model)).
 ///
-/// # Errors
-///
-/// * [`SynthesisError::Library`] if a class used by the graph has no
-///   versions;
-/// * [`SynthesisError::NoSolution`] if the single-version design cannot
-///   meet the latency bound or its minimal-area binding exceeds `Ad`.
+/// [`Strategy::run`] fails with [`SynthesisError::Library`] if a class
+/// used by the graph has no versions, and with
+/// [`SynthesisError::NoSolution`] if the single-version design cannot
+/// meet the latency bound or its minimal-area binding exceeds `Ad`.
 ///
 /// # Examples
 ///
 /// ```
-/// use rchls_core::{synthesize_nmr_baseline, Bounds, RedundancyModel};
+/// use rchls_core::flow::Baseline;
+/// use rchls_core::{Bounds, Strategy, SynthRequest};
 /// use rchls_dfg::{DfgBuilder, OpKind};
 /// use rchls_reslib::Library;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dfg = DfgBuilder::new("pair").ops(&["a", "b"], OpKind::Add).dep("a", "b").build()?;
 /// let library = Library::table1();
-/// let d = synthesize_nmr_baseline(&dfg, &library, Bounds::new(4, 8), RedundancyModel::default())?;
+/// let d = Baseline.run(&SynthRequest::new(&dfg, &library, Bounds::new(4, 8)))?.design;
 /// assert!(d.area <= 8);
 /// // Both ops on the fixed type-2 adder, one shared unit, duplicated.
 /// assert!(d.reliability.value() > 0.969f64.powi(2));
 /// # Ok(())
 /// # }
 /// ```
-pub fn synthesize_nmr_baseline(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    model: RedundancyModel,
-) -> Result<Design, SynthesisError> {
-    nmr_baseline_report(dfg, library, bounds, &FlowSpec::default(), model).map(|r| r.design)
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Baseline;
 
-/// [`synthesize_nmr_baseline`] with an explicit flow (whose scheduler and
-/// binder place the single-version design) and a full diagnostics-carrying
-/// [`SynthReport`] — the engine behind the `"baseline"`
-/// [`Strategy`](crate::Strategy).
-///
-/// # Errors
-///
-/// Same contract as [`synthesize_nmr_baseline`], plus
-/// [`SynthesisError::UnknownPass`] when `flow` names unregistered passes.
-pub fn nmr_baseline_report(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
-) -> Result<SynthReport, SynthesisError> {
-    nmr_baseline_report_pooled(dfg, library, bounds, flow, model, None)
-}
+impl Strategy for Baseline {
+    fn id(&self) -> &str {
+        "baseline"
+    }
 
-/// [`nmr_baseline_report`] borrowing synthesis arenas from a session
-/// [`ScratchPool`].
-///
-/// # Errors
-///
-/// Same contract as [`nmr_baseline_report`].
-pub(crate) fn nmr_baseline_report_pooled(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
-    pool: Option<&crate::scratch::ScratchPool>,
-) -> Result<SynthReport, SynthesisError> {
-    let span = rchls_telemetry::span!(timed: "strategy.baseline");
-    dfg.validate().map_err(rchls_sched::ScheduleError::from)?;
-    // Fixed single version per class.
-    let mut chosen = Vec::new();
-    for (class, v) in baseline_versions(library) {
-        if dfg.count_class(class) > 0 {
-            match v {
-                Some(v) => chosen.push((class, v)),
-                None => return Err(SynthesisError::Library(rchls_reslib::LibraryError::Empty)),
+    fn description(&self) -> &str {
+        "prior art: fixed fastest version per class + modular redundancy (Ref [3])"
+    }
+
+    fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
+        let (dfg, library, bounds) = (request.dfg, request.library, request.bounds);
+        let span = rchls_telemetry::span!(timed: "strategy.baseline");
+        dfg.validate().map_err(rchls_sched::ScheduleError::from)?;
+        // Fixed single version per class.
+        let mut chosen = Vec::new();
+        for (class, v) in baseline_versions(library) {
+            if dfg.count_class(class) > 0 {
+                match v {
+                    Some(v) => chosen.push((class, v)),
+                    None => return Err(SynthesisError::Library(rchls_reslib::LibraryError::Empty)),
+                }
             }
         }
-    }
-    let assignment = Assignment::from_fn(dfg, library, |n| {
-        let class = dfg.node(n).class();
-        chosen
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|&(_, v)| v)
-            .expect("class coverage checked above")
-    });
-
-    // Schedule at the full latency budget for maximal sharing (minimum
-    // base area leaves the most room for redundancy).
-    let synth = Synthesizer::with_flow_pooled(dfg, library, flow, pool)?;
-    let minimum = synth.min_latency(&assignment)?;
-    if minimum > bounds.latency {
-        return Err(SynthesisError::NoSolution {
-            reason: format!(
-                "single-version critical path {minimum} exceeds latency bound {}",
-                bounds.latency
-            ),
+        let assignment = Assignment::from_fn(dfg, library, |n| {
+            let class = dfg.node(n).class();
+            chosen
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map(|&(_, v)| v)
+                .expect("class coverage checked above")
         });
-    }
-    let (schedule, binding) = synth.schedule_and_bind(&assignment, bounds.latency.max(minimum))?;
-    let area = binding.total_area(library);
-    if area > bounds.area {
-        return Err(SynthesisError::NoSolution {
-            reason: format!(
-                "single-version design needs area {area} > bound {}",
-                bounds.area
-            ),
-        });
-    }
 
-    let replication = vec![1u32; binding.instance_count()];
-    let mut design = Design::assemble(dfg, library, assignment, schedule, binding, replication);
-    let moves = add_redundancy_with_model(&mut design, dfg, library, bounds.area, model);
-    let mut diagnostics = Diagnostics {
-        redundancy_moves: moves,
-        ..Diagnostics::default()
-    };
-    synth.harvest_timers(&mut diagnostics);
-    diagnostics.wall_time_micros = span.elapsed_micros();
-    Ok(SynthReport {
-        design,
-        diagnostics,
-    })
+        // Schedule at the full latency budget for maximal sharing (minimum
+        // base area leaves the most room for redundancy).
+        let synth = Synthesizer::for_request(request)?;
+        let minimum = synth.min_latency(&assignment)?;
+        if minimum > bounds.latency {
+            return Err(SynthesisError::NoSolution {
+                reason: format!(
+                    "single-version critical path {minimum} exceeds latency bound {}",
+                    bounds.latency
+                ),
+            });
+        }
+        let (schedule, binding) =
+            synth.schedule_and_bind(&assignment, bounds.latency.max(minimum))?;
+        let area = binding.total_area(library);
+        if area > bounds.area {
+            return Err(SynthesisError::NoSolution {
+                reason: format!(
+                    "single-version design needs area {area} > bound {}",
+                    bounds.area
+                ),
+            });
+        }
+
+        let replication = vec![1u32; binding.instance_count()];
+        let mut design = Design::assemble(dfg, library, assignment, schedule, binding, replication);
+        let moves =
+            add_redundancy_with_model(&mut design, dfg, library, bounds.area, request.redundancy);
+        let mut diagnostics = Diagnostics {
+            redundancy_moves: moves,
+            ..Diagnostics::default()
+        };
+        synth.harvest_timers(&mut diagnostics);
+        diagnostics.wall_time_micros = span.elapsed_micros();
+        Ok(SynthReport {
+            design,
+            diagnostics,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_dfg::DfgBuilder;
-    use rchls_dfg::OpKind;
+    use crate::Bounds;
+    use rchls_dfg::{Dfg, DfgBuilder, OpKind};
+
+    /// The baseline design at `bounds` under the default flow and model.
+    fn baseline(g: &Dfg, lib: &Library, bounds: Bounds) -> Result<Design, SynthesisError> {
+        Baseline
+            .run(&SynthRequest::new(g, lib, bounds))
+            .map(|r| r.design)
+    }
 
     #[test]
     fn baseline_versions_pick_type2_units() {
@@ -203,8 +187,7 @@ mod tests {
         let lib = Library::table1();
         // Chain of 6 one-cycle type-2 adds: latency 6, one shared adder2
         // (area 2), no room for redundancy with Ad=2.
-        let d = synthesize_nmr_baseline(&g, &lib, Bounds::new(6, 2), RedundancyModel::default())
-            .unwrap();
+        let d = baseline(&g, &lib, Bounds::new(6, 2)).unwrap();
         assert_eq!(d.area, 2);
         assert!((d.reliability.value() - 0.969f64.powi(6)).abs() < 1e-12);
         assert_eq!(d.redundant_instance_count(), 0);
@@ -222,12 +205,8 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let tight =
-            synthesize_nmr_baseline(&g, &lib, Bounds::new(6, 2), RedundancyModel::default())
-                .unwrap();
-        let loose =
-            synthesize_nmr_baseline(&g, &lib, Bounds::new(6, 4), RedundancyModel::default())
-                .unwrap();
+        let tight = baseline(&g, &lib, Bounds::new(6, 2)).unwrap();
+        let loose = baseline(&g, &lib, Bounds::new(6, 4)).unwrap();
         assert!(loose.reliability.value() > tight.reliability.value());
         assert!(loose.redundant_instance_count() >= 1);
         assert!(loose.area <= 4);
@@ -242,8 +221,7 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let err = synthesize_nmr_baseline(&g, &lib, Bounds::new(2, 99), RedundancyModel::default())
-            .unwrap_err();
+        let err = baseline(&g, &lib, Bounds::new(2, 99)).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }));
     }
 
@@ -253,8 +231,7 @@ mod tests {
         let lib = Library::table1();
         // mult2 has area 4; bound of 3 is impossible for the baseline
         // (it cannot switch to the smaller mult1).
-        let err = synthesize_nmr_baseline(&g, &lib, Bounds::new(9, 3), RedundancyModel::default())
-            .unwrap_err();
+        let err = baseline(&g, &lib, Bounds::new(9, 3)).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }));
     }
 }

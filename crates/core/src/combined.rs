@@ -1,15 +1,16 @@
 //! The paper's unified approach: reliability-centric version selection
 //! followed by redundancy on the leftover area.
 
-use crate::bounds::Bounds;
-use crate::design::Design;
+use crate::baseline::Baseline;
 use crate::error::SynthesisError;
-use crate::flow::{FlowSpec, SynthReport};
-use crate::redundancy::{add_redundancy_with_model, RedundancyModel};
+use crate::flow::{Strategy, SynthReport, SynthRequest};
+use crate::redundancy::add_redundancy_with_model;
 use crate::synth::Synthesizer;
-use rchls_dfg::Dfg;
-use rchls_reslib::Library;
 
+/// The paper's unified scheme: reliability-centric selection, then
+/// leftover-area redundancy, as a portfolio with the baseline. Id
+/// `"combined"`.
+///
 /// Runs the reliability-centric synthesizer, then spends any area still
 /// under the bound on modular redundancy — the "Our approach + Ref \[3\]"
 /// column of the paper's Table 2.
@@ -24,120 +25,92 @@ use rchls_reslib::Library;
 /// evaluated as a portfolio: if the pure redundancy design happens to beat
 /// the refined-then-replicated one, it is returned instead. This is what
 /// makes the paper's claim — "this combined approach obtains a better
-/// reliability than \[3\]" — hold unconditionally.
+/// reliability than \[3\]" — hold unconditionally. The report's
+/// diagnostics fold together both portfolio branches.
 ///
-/// # Errors
-///
-/// Returns an error only when *neither* branch of the portfolio finds a
-/// feasible design.
+/// [`Strategy::run`] returns an error only when *neither* branch of the
+/// portfolio finds a feasible design.
 ///
 /// # Examples
 ///
 /// ```
-/// use rchls_core::{synthesize_combined, Bounds, FlowSpec, RedundancyModel};
+/// use rchls_core::flow::Combined;
+/// use rchls_core::{Bounds, Strategy, SynthRequest};
 /// use rchls_dfg::{DfgBuilder, OpKind};
 /// use rchls_reslib::Library;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dfg = DfgBuilder::new("pair").ops(&["a", "b"], OpKind::Add).dep("a", "b").build()?;
 /// let library = Library::table1();
-/// let d = synthesize_combined(
-///     &dfg, &library, Bounds::new(4, 6), &FlowSpec::default(), RedundancyModel::default(),
-/// )?;
+/// let d = Combined.run(&SynthRequest::new(&dfg, &library, Bounds::new(4, 6)))?.design;
 /// assert!(d.area <= 6);
 /// # Ok(())
 /// # }
 /// ```
-pub fn synthesize_combined(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
-) -> Result<Design, SynthesisError> {
-    combined_report(dfg, library, bounds, flow, model).map(|r| r.design)
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Combined;
 
-/// [`synthesize_combined`] with a full diagnostics-carrying
-/// [`SynthReport`] — the engine behind the `"combined"`
-/// [`Strategy`](crate::Strategy). The report's diagnostics fold together
-/// both portfolio branches (the reliability-centric run and, when it was
-/// evaluated, the baseline).
-///
-/// # Errors
-///
-/// Same contract as [`synthesize_combined`].
-pub fn combined_report(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
-) -> Result<SynthReport, SynthesisError> {
-    combined_report_for(
-        &crate::flow::SynthRequest::new(dfg, library, bounds)
-            .with_flow(flow.clone())
-            .with_redundancy(model),
-    )
-}
+impl Strategy for Combined {
+    fn id(&self) -> &str {
+        "combined"
+    }
 
-/// [`combined_report`] on a full [`SynthRequest`], inheriting whatever
-/// session state (scratch pool, starts cache) the request carries.
-///
-/// # Errors
-///
-/// Same contract as [`combined_report`].
-///
-/// [`SynthRequest`]: crate::SynthRequest
-pub(crate) fn combined_report_for(
-    request: &crate::flow::SynthRequest<'_>,
-) -> Result<SynthReport, SynthesisError> {
-    let (dfg, library, bounds, model) = (
-        request.dfg,
-        request.library,
-        request.bounds,
-        request.redundancy,
-    );
-    let span = rchls_telemetry::span!(timed: "strategy.combined");
-    let ours = Synthesizer::for_request(request)?
-        .synthesize_report(bounds)
-        .map(|mut report| {
-            report.diagnostics.redundancy_moves +=
-                add_redundancy_with_model(&mut report.design, dfg, library, bounds.area, model);
-            report
-        });
-    let baseline = crate::baseline::nmr_baseline_report_pooled(
-        dfg,
-        library,
-        bounds,
-        &request.flow,
-        model,
-        request.scratch_pool(),
-    );
-    let mut report = match (ours, baseline) {
-        (Ok(a), Ok(b)) => {
-            if a.design.reliability.value() >= b.design.reliability.value() {
-                let mut a = a;
-                a.diagnostics.absorb(&b.diagnostics);
-                a
-            } else {
-                let mut b = b;
-                b.diagnostics.absorb(&a.diagnostics);
-                b
+    fn description(&self) -> &str {
+        "reliability-centric selection + leftover-area redundancy (portfolio with baseline)"
+    }
+
+    fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
+        let (dfg, library, bounds, model) = (
+            request.dfg,
+            request.library,
+            request.bounds,
+            request.redundancy,
+        );
+        let span = rchls_telemetry::span!(timed: "strategy.combined");
+        let ours = Synthesizer::for_request(request)?
+            .synthesize_report(bounds)
+            .map(|mut report| {
+                report.diagnostics.redundancy_moves +=
+                    add_redundancy_with_model(&mut report.design, dfg, library, bounds.area, model);
+                report
+            });
+        let baseline = Baseline.run(request);
+        let mut report = match (ours, baseline) {
+            (Ok(a), Ok(b)) => {
+                if a.design.reliability.value() >= b.design.reliability.value() {
+                    let mut a = a;
+                    a.diagnostics.absorb(&b.diagnostics);
+                    a
+                } else {
+                    let mut b = b;
+                    b.diagnostics.absorb(&a.diagnostics);
+                    b
+                }
             }
-        }
-        (Ok(a), Err(_)) => a,
-        (Err(_), Ok(b)) => b,
-        (Err(e), Err(_)) => return Err(e),
-    };
-    report.diagnostics.wall_time_micros = span.elapsed_micros();
-    Ok(report)
+            (Ok(a), Err(_)) => a,
+            (Err(_), Ok(b)) => b,
+            (Err(e), Err(_)) => return Err(e),
+        };
+        report.diagnostics.wall_time_micros = span.elapsed_micros();
+        Ok(report)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_dfg::{DfgBuilder, OpKind};
+    use crate::flow::Ours;
+    use crate::{Bounds, Design};
+    use rchls_dfg::{Dfg, DfgBuilder, OpKind};
+    use rchls_reslib::Library;
+
+    /// `strategy`'s design at `bounds` under the default flow and model.
+    fn design(strategy: &dyn Strategy, g: &Dfg, lib: &Library, bounds: Bounds) -> Design {
+        strategy
+            .run(&SynthRequest::new(g, lib, bounds))
+            .unwrap()
+            .design
+    }
 
     fn figure4a() -> Dfg {
         DfgBuilder::new("figure4a")
@@ -158,15 +131,8 @@ mod tests {
         let lib = Library::table1();
         for (latency, area) in [(5u32, 4u32), (5, 6), (6, 5), (8, 8)] {
             let bounds = Bounds::new(latency, area);
-            let ours = Synthesizer::new(&g, &lib).synthesize(bounds).unwrap();
-            let comb = synthesize_combined(
-                &g,
-                &lib,
-                bounds,
-                &FlowSpec::default(),
-                RedundancyModel::default(),
-            )
-            .unwrap();
+            let ours = design(&Ours, &g, &lib, bounds);
+            let comb = design(&Combined, &g, &lib, bounds);
             assert!(
                 comb.reliability.value() + 1e-12 >= ours.reliability.value(),
                 "combined regressed at {bounds}"
@@ -181,15 +147,8 @@ mod tests {
         let g = figure4a();
         let lib = Library::table1();
         let bounds = Bounds::new(8, 8);
-        let ours = Synthesizer::new(&g, &lib).synthesize(bounds).unwrap();
-        let comb = synthesize_combined(
-            &g,
-            &lib,
-            bounds,
-            &FlowSpec::default(),
-            RedundancyModel::default(),
-        )
-        .unwrap();
+        let ours = design(&Ours, &g, &lib, bounds);
+        let comb = design(&Combined, &g, &lib, bounds);
         // Redundancy moves are only committed when they strictly improve
         // reliability, so any extra area implies a strictly better design.
         assert!(comb.area >= ours.area);

@@ -4,10 +4,10 @@
 //! ROADMAP item 1 flags unbounded cache growth as the blocker for
 //! long-running sessions: the [`SynthCache`](crate::engine::SynthCache),
 //! the [`StartsCache`](crate::engine::StartsCache) (two tables), and the
-//! [`ScratchPool`](crate::ScratchPool) all retain everything forever. A
-//! [`CacheBudget`] splits one byte allowance across those four layers,
-//! and a [`BudgetedTable`] enforces a layer's share with least-recently-
-//! used eviction over approximate entry sizes.
+//! [`ScratchPool`](crate::scratch::ScratchPool) all retain everything
+//! forever. A [`CacheBudget`] splits one byte allowance across those
+//! four layers, and a [`BudgetedTable`] enforces a layer's share with
+//! least-recently-used eviction over approximate entry sizes.
 //!
 //! Eviction never changes synthesis outputs — an evicted entry is simply
 //! recomputed on the next request, and every cached artifact replays

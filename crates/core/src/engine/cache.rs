@@ -2,9 +2,10 @@
 //!
 //! A sweep re-synthesizes the same `(DFG, library, bounds, flow, model,
 //! strategy)` point whenever grids overlap between runs, benchmarks share
-//! structure, or a frontier is refined interactively. The [`SynthCache`]
-//! makes every repeat near-free: reports are stored under a 64-bit
-//! fingerprint of the *content* of all synthesis inputs — the flow's pass
+//! structure, or a frontier is refined interactively. The session
+//! [`Engine`](crate::Engine)'s [`SynthCache`] makes every repeat
+//! near-free: reports are stored under a 64-bit fingerprint of the
+//! *content* of all synthesis inputs — the flow's pass
 //! ids and the strategy's [`fingerprint
 //! token`](crate::Strategy::fingerprint_token), never enum
 //! discriminants — so any structurally identical request, even from a
@@ -13,9 +14,7 @@
 use crate::engine::budget::{BudgetedTable, CacheBudget};
 use crate::engine::fingerprint::Fingerprint;
 use crate::engine::store_tier::{self, Provenance, StoreOutcome};
-use crate::{
-    Bounds, FlowSpec, RedundancyModel, Strategy, SynthReport, SynthRequest, SynthesisError,
-};
+use crate::{Bounds, FlowSpec, RedundancyModel, SynthReport, SynthesisError};
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use rchls_store::ResultStore;
@@ -120,7 +119,7 @@ impl CacheEntry {
 /// its share — see [`SynthCache::set_budget`]. Eviction never changes
 /// outputs, only recompute cost.
 #[derive(Debug, Default)]
-pub struct SynthCache {
+pub(crate) struct SynthCache {
     entries: Mutex<BudgetedTable<CacheEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -143,55 +142,6 @@ impl SynthCache {
     #[must_use]
     pub fn new() -> SynthCache {
         SynthCache::default()
-    }
-
-    /// Runs `strategy` at one synthesis point through the cache: returns
-    /// the memoized report if the fingerprint is known, otherwise
-    /// synthesizes, stores, and returns the result. Infeasibility maps to
-    /// `None`.
-    pub fn synthesize(
-        &self,
-        dfg: &Dfg,
-        library: &Library,
-        bounds: Bounds,
-        flow: &FlowSpec,
-        model: RedundancyModel,
-        strategy: &dyn Strategy,
-    ) -> Option<SynthReport> {
-        self.synthesize_with_workload(dfg, library, bounds, flow, model, strategy, None)
-    }
-
-    /// [`SynthCache::synthesize`] with the request's canonical workload
-    /// spec, when the caller knows it. The spec rides into on-disk
-    /// store entries as re-synthesis provenance (`rchls store verify`);
-    /// it never affects the cache key or the result.
-    #[allow(clippy::too_many_arguments)]
-    pub fn synthesize_with_workload(
-        &self,
-        dfg: &Dfg,
-        library: &Library,
-        bounds: Bounds,
-        flow: &FlowSpec,
-        model: RedundancyModel,
-        strategy: &dyn Strategy,
-        workload: Option<&str>,
-    ) -> Option<SynthReport> {
-        let token = strategy.fingerprint_token();
-        let key = CacheKey::for_point(dfg, library, bounds, flow, model, &token);
-        let provenance = workload.map(|spec| Provenance {
-            workload: spec.to_owned(),
-            flow: flow.clone(),
-            model,
-        });
-        self.get_or_compute_with(key, bounds, &token, provenance.as_ref(), || {
-            strategy.run(
-                &SynthRequest::new(dfg, library, bounds)
-                    .with_flow(flow.clone())
-                    .with_redundancy(model)
-                    .with_scratch_pool(&self.scratch)
-                    .with_starts_cache(&self.starts),
-            )
-        })
     }
 
     /// Attaches the on-disk result store as the second cache tier. The
@@ -232,25 +182,14 @@ impl SynthCache {
     }
 
     /// Looks up `key`, computing and storing with `compute` on a miss.
+    /// Infeasibility maps to `None`.
     ///
     /// `bounds` and `strategy_token` double as a collision check: an
     /// entry found under `key` but recorded for a different request is a
     /// fingerprint collision, and the request is computed fresh (and not
-    /// cached) rather than answered with the wrong design.
-    pub fn get_or_compute(
-        &self,
-        key: CacheKey,
-        bounds: Bounds,
-        strategy_token: &str,
-        compute: impl FnOnce() -> Result<SynthReport, SynthesisError>,
-    ) -> Option<SynthReport> {
-        self.get_or_compute_with(key, bounds, strategy_token, None, compute)
-    }
-
-    /// [`SynthCache::get_or_compute`] with optional store provenance
-    /// for the write-back path (see
-    /// [`SynthCache::synthesize_with_workload`]).
-    fn get_or_compute_with(
+    /// cached) rather than answered with the wrong design. `provenance`
+    /// rides into the store entry a fresh result is written back as.
+    pub(super) fn get_or_compute(
         &self,
         key: CacheKey,
         bounds: Bounds,
@@ -345,23 +284,9 @@ impl SynthCache {
         }
     }
 
-    /// Number of *resident* memoized points (feasible and infeasible).
-    /// Under a budget this can shrink; for the deterministic
-    /// ever-memoized count use [`SynthCache::seen_points`].
-    #[must_use]
-    pub fn len(&self) -> usize {
-        crate::sync::lock_unpoisoned(&self.entries).len()
-    }
-
-    /// `true` when nothing is currently memoized.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Number of distinct synthesis points ever memoized — independent
     /// of eviction (and worker count), so deterministic documents report
-    /// this rather than [`SynthCache::len`].
+    /// this rather than a resident count.
     #[must_use]
     pub fn seen_points(&self) -> usize {
         crate::sync::lock_unpoisoned(&self.entries).seen_len()
@@ -383,7 +308,7 @@ impl SynthCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flow, SynthRequest};
+    use crate::{flow, Engine, Strategy, SynthRequest};
     use rchls_dfg::{DfgBuilder, OpKind};
 
     fn tiny() -> Dfg {
@@ -401,77 +326,73 @@ mod tests {
     #[test]
     fn identical_requests_hit() {
         let dfg = tiny();
-        let lib = Library::table1();
-        let cache = SynthCache::new();
+        let engine = Engine::new(Library::table1());
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
-        let first = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
-        let second = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
+        let first = engine.synth_point(&dfg, None, Bounds::new(6, 4), &flow_spec, model, &*ours());
+        let second = engine.synth_point(&dfg, None, Bounds::new(6, 4), &flow_spec, model, &*ours());
         assert_eq!(first, second);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cache.len(), 1);
+        assert_eq!(engine.cache_stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(engine.memoized_points(), 1);
     }
 
     #[test]
     fn structurally_equal_graphs_share_entries() {
         // A rebuilt graph with the same content fingerprints identically.
-        let lib = Library::table1();
-        let cache = SynthCache::new();
+        let engine = Engine::new(Library::table1());
         let combined = flow::strategy("combined").unwrap();
         for _ in 0..2 {
             let dfg = tiny();
-            cache.synthesize(
+            let _ = engine.synth_point(
                 &dfg,
-                &lib,
+                None,
                 Bounds::new(6, 4),
                 &FlowSpec::default(),
                 RedundancyModel::default(),
                 &*combined,
             );
         }
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(engine.cache_stats().hits, 1);
     }
 
     #[test]
     fn different_inputs_do_not_collide() {
         let dfg = tiny();
-        let lib = Library::table1();
-        let cache = SynthCache::new();
+        let engine = Engine::new(Library::table1());
         let model = RedundancyModel::default();
         let flow_spec = FlowSpec::default();
         for id in ["baseline", "ours", "combined"] {
-            cache.synthesize(
+            let _ = engine.synth_point(
                 &dfg,
-                &lib,
+                None,
                 Bounds::new(6, 4),
                 &flow_spec,
                 model,
                 &*flow::strategy(id).unwrap(),
             );
         }
-        cache.synthesize(&dfg, &lib, Bounds::new(7, 4), &flow_spec, model, &*ours());
-        cache.synthesize(&dfg, &lib, Bounds::new(6, 5), &flow_spec, model, &*ours());
+        let _ = engine.synth_point(&dfg, None, Bounds::new(7, 4), &flow_spec, model, &*ours());
+        let _ = engine.synth_point(&dfg, None, Bounds::new(6, 5), &flow_spec, model, &*ours());
         // A different pass id is a different point too.
-        cache.synthesize(
+        let _ = engine.synth_point(
             &dfg,
-            &lib,
+            None,
             Bounds::new(6, 4),
             &FlowSpec::default().with_victim("min-reliability-loss"),
             model,
             &*ours(),
         );
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 6 });
+        assert_eq!(engine.cache_stats(), CacheStats { hits: 0, misses: 6 });
     }
 
     #[test]
     fn infeasibility_is_cached_too() {
         let dfg = tiny();
-        let lib = Library::table1();
-        let cache = SynthCache::new();
+        let engine = Engine::new(Library::table1());
         for _ in 0..2 {
-            let out = cache.synthesize(
+            let out = engine.synth_point(
                 &dfg,
-                &lib,
+                None,
                 // Latency 1 is impossible for two dependent ops.
                 Bounds::new(1, 4),
                 &FlowSpec::default(),
@@ -480,14 +401,14 @@ mod tests {
             );
             assert!(out.is_none());
         }
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(engine.cache_stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
     fn fingerprint_collisions_are_detected_not_served() {
         let dfg = tiny();
         let lib = Library::table1();
-        let cache = SynthCache::new();
+        let engine = Engine::new(Library::table1());
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
         // Slack bounds settle on the reliable slow adders (latency 4);
@@ -496,41 +417,49 @@ mod tests {
         let tight = Bounds::new(2, 6);
         let key = CacheKey::for_point(&dfg, &lib, wide, &flow_spec, model, "ours");
         let run = |bounds: Bounds| ours().run(&SynthRequest::new(&dfg, &lib, bounds));
-        let first = cache.get_or_compute(key, wide, "ours", || run(wide));
+        let first = engine
+            .cache
+            .get_or_compute(key, wide, "ours", None, || run(wide));
         // The same key arriving with a different declared request is a
         // collision: it must compute fresh, never serve the wide result.
-        let second = cache.get_or_compute(key, tight, "ours", || run(tight));
+        let second = engine
+            .cache
+            .get_or_compute(key, tight, "ours", None, || run(tight));
         assert_ne!(first, second);
         assert_eq!(second.as_ref().map(|r| r.design.latency), Some(2));
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        assert_eq!(cache.len(), 1, "a collided request is not cached");
+        assert_eq!(engine.cache_stats(), CacheStats { hits: 0, misses: 2 });
+        assert_eq!(
+            engine.memoized_points(),
+            1,
+            "a collided request is not cached"
+        );
         // The original entry still answers its own request.
-        let again = cache.get_or_compute(key, wide, "ours", || {
+        let again = engine.cache.get_or_compute(key, wide, "ours", None, || {
             unreachable!("must be served from the cache")
         });
         assert_eq!(again, first);
         // A differing strategy token on the same key is a collision too.
-        let other = cache.get_or_compute(key, wide, "pipelined@ii=2", || run(wide));
-        assert_eq!(cache.stats().misses, 3);
+        let other = engine
+            .cache
+            .get_or_compute(key, wide, "pipelined@ii=2", None, || run(wide));
+        assert_eq!(engine.cache_stats().misses, 3);
         assert!(other.is_some());
     }
 
     #[test]
     fn budget_zero_evicts_everything_without_changing_outputs() {
         let dfg = tiny();
-        let lib = Library::table1();
-        let unlimited = SynthCache::new();
-        let zero = SynthCache::new();
-        zero.set_budget(CacheBudget::limited(0));
+        let unlimited = Engine::new(Library::table1());
+        let zero = Engine::new(Library::table1()).with_cache_budget(CacheBudget::limited(0));
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
         let bounds = Bounds::new(6, 4);
         for _ in 0..2 {
             let cached = unlimited
-                .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+                .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
                 .unwrap();
             let evicted = zero
-                .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+                .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
                 .unwrap();
             // Only wall times may differ between a cache hit and a
             // recompute-after-eviction.
@@ -542,41 +471,39 @@ mod tests {
         }
         // The unlimited session memoized; the budget-0 session kept
         // nothing resident but still counted the distinct point.
-        assert_eq!(unlimited.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(zero.stats(), CacheStats { hits: 0, misses: 2 });
-        assert_eq!(zero.len(), 0);
-        assert_eq!(zero.resident_bytes(), 0);
-        assert_eq!(zero.seen_points(), 1);
-        assert_eq!(zero.evictions(), 2);
-        assert!(unlimited.resident_bytes() > 0);
-        assert_eq!(unlimited.evictions(), 0);
-        assert_eq!(unlimited.seen_points(), 1);
+        assert_eq!(unlimited.cache_stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(zero.cache_stats(), CacheStats { hits: 0, misses: 2 });
+        assert_eq!(zero.cache.resident_bytes(), 0);
+        assert_eq!(zero.memoized_points(), 1);
+        assert_eq!(zero.cache.evictions(), 2);
+        assert!(unlimited.cache.resident_bytes() > 0);
+        assert_eq!(unlimited.cache.evictions(), 0);
+        assert_eq!(unlimited.memoized_points(), 1);
     }
 
     #[test]
     fn a_poisoned_lock_does_not_wedge_the_cache() {
         let dfg = tiny();
-        let lib = Library::table1();
-        let cache = SynthCache::new();
+        let engine = Engine::new(Library::table1());
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
-        let first = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
+        let first = engine.synth_point(&dfg, None, Bounds::new(6, 4), &flow_spec, model, &*ours());
         // Panic while holding the memo-table lock, as a panicking request
         // in a shared session would.
         let poisoner = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _guard = cache.entries.lock().unwrap();
+                    let _guard = engine.cache.entries.lock().unwrap();
                     panic!("poison the cache lock");
                 })
                 .join()
         });
         assert!(poisoner.is_err());
-        assert!(cache.entries.is_poisoned());
+        assert!(engine.cache.entries.is_poisoned());
         // The session keeps serving: the memoized entry still answers.
-        let second = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
+        let second = engine.synth_point(&dfg, None, Bounds::new(6, 4), &flow_spec, model, &*ours());
         assert_eq!(first, second);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(engine.cache_stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -594,35 +521,32 @@ mod tests {
         Arc::new(ResultStore::open(root).expect("temp store opens"))
     }
 
-    /// A session cache tiered over an existing store root.
-    fn session_over(store: &Arc<ResultStore>) -> SynthCache {
-        let cache = SynthCache::new();
-        cache.set_store(Arc::clone(store));
-        cache
+    /// A session tiered over an existing store root.
+    fn session_over(store: &Arc<ResultStore>) -> Engine {
+        Engine::new(Library::table1()).with_store(Arc::clone(store))
     }
 
     #[test]
     fn store_tier_round_trips_across_sessions() {
         let store = store_at("roundtrip");
         let dfg = tiny();
-        let lib = Library::table1();
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
         let bounds = Bounds::new(6, 4);
 
         let cold = session_over(&store);
         let first = cold
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .unwrap();
-        assert_eq!(cold.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(cold.cache_stats(), CacheStats { hits: 0, misses: 1 });
 
         // A brand-new session over the same root answers from disk:
         // same design, same scrubbed diagnostics, no synthesis run.
         let warm = session_over(&store);
         let second = warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .unwrap();
-        assert_eq!(warm.stats(), CacheStats { hits: 1, misses: 0 });
+        assert_eq!(warm.cache_stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(first.design, second.design);
         assert_eq!(first.diagnostics.scrubbed(), second.diagnostics);
         // The store keeps wall-time-scrubbed diagnostics, so store-served
@@ -631,45 +555,43 @@ mod tests {
         // The hit was promoted into the memory tier: the cumulative
         // point count matches a cold-computed session, and the next
         // lookup never touches disk.
-        assert_eq!(warm.seen_points(), 1);
+        assert_eq!(warm.memoized_points(), 1);
         let third = warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .unwrap();
         assert_eq!(third, second);
-        assert_eq!(warm.stats(), CacheStats { hits: 2, misses: 0 });
+        assert_eq!(warm.cache_stats(), CacheStats { hits: 2, misses: 0 });
     }
 
     #[test]
     fn store_tier_records_infeasibility_too() {
         let store = store_at("infeasible");
         let dfg = tiny();
-        let lib = Library::table1();
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
         // Latency 1 is impossible for two dependent ops.
         let bounds = Bounds::new(1, 4);
         let cold = session_over(&store);
         assert!(cold
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .is_none());
         let warm = session_over(&store);
         assert!(warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .is_none());
-        assert_eq!(warm.stats(), CacheStats { hits: 1, misses: 0 });
+        assert_eq!(warm.cache_stats(), CacheStats { hits: 1, misses: 0 });
     }
 
     #[test]
     fn corrupt_store_entries_are_recomputed_never_served() {
         let store = store_at("corrupt");
         let dfg = tiny();
-        let lib = Library::table1();
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
         let bounds = Bounds::new(6, 4);
         let cold = session_over(&store);
         let first = cold
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .unwrap();
 
         // Truncate every live entry file behind the store's back.
@@ -697,17 +619,17 @@ mod tests {
         // The warm session quarantines, recomputes, and matches.
         let warm = session_over(&store);
         let second = warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .unwrap();
-        assert_eq!(warm.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(warm.cache_stats(), CacheStats { hits: 0, misses: 1 });
         assert_eq!(first.design, second.design);
         assert_eq!(store.stats().quarantined, 1);
         // The recompute wrote a clean entry back.
         let healed = session_over(&store);
         let third = healed
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .unwrap();
-        assert_eq!(healed.stats(), CacheStats { hits: 1, misses: 0 });
+        assert_eq!(healed.cache_stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(second.design, third.design);
     }
 
@@ -723,11 +645,11 @@ mod tests {
         // A valid envelope whose payload is not a StoredEntry — what an
         // engine schema change would leave behind.
         store.save(key.raw(), r#"{"era": "older-engine"}"#).unwrap();
-        let cache = session_over(&store);
-        assert!(cache
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
+        let engine = session_over(&store);
+        assert!(engine
+            .synth_point(&dfg, None, bounds, &flow_spec, model, &*ours())
             .is_some());
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(engine.cache_stats(), CacheStats { hits: 0, misses: 1 });
         assert_eq!(store.stats().quarantined, 1);
     }
 
@@ -743,19 +665,25 @@ mod tests {
         let key = CacheKey::for_point(&dfg, &lib, wide, &flow_spec, model, "ours");
         let run = |bounds: Bounds| ours().run(&SynthRequest::new(&dfg, &lib, bounds));
 
-        let first = session_over(&store).get_or_compute(key, wide, "ours", || run(wide));
+        let first = session_over(&store)
+            .cache
+            .get_or_compute(key, wide, "ours", None, || run(wide));
         // A different request arriving under the same fingerprint in a
         // fresh session collides against the *disk* entry: computed
         // fresh, not written back.
         let colliding = session_over(&store);
-        let second = colliding.get_or_compute(key, tight, "ours", || run(tight));
+        let second = colliding
+            .cache
+            .get_or_compute(key, tight, "ours", None, || run(tight));
         assert_ne!(first, second);
         assert_eq!(second.as_ref().map(|r| r.design.latency), Some(2));
-        assert_eq!(colliding.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(colliding.cache_stats(), CacheStats { hits: 0, misses: 1 });
         // The original entry survived and still answers its own request.
-        let again = session_over(&store).get_or_compute(key, wide, "ours", || {
-            unreachable!("must be served from the store")
-        });
+        let again = session_over(&store)
+            .cache
+            .get_or_compute(key, wide, "ours", None, || {
+                unreachable!("must be served from the store")
+            });
         assert_eq!(
             again.as_ref().map(|r| r.design.clone()),
             first.as_ref().map(|r| r.design.clone())

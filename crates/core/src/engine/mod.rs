@@ -14,15 +14,20 @@
 //!   `random:64x8@7`, `file:path.dfg`, or any out-of-tree scheme), and
 //!   the canonical spec — seed and all — is echoed in every outcome so
 //!   a report alone reproduces its run;
-//! * every job runs through the [`SynthCache`] keyed by content
-//!   fingerprints, so structurally identical requests are answered once;
+//! * every job runs through the session's synthesis cache keyed by
+//!   content fingerprints ([`CacheKey`]), so structurally identical
+//!   requests are answered once — from memory, or from an attached
+//!   on-disk store;
 //! * [`Engine::synth_batch`] fans jobs over the deterministic
 //!   [`SweepExecutor`]: results come back in job order and are
 //!   byte-identical at any worker count.
 //!
-//! This module also hosts the executor, fingerprint, and cache
-//! primitives the engine is built from; `rchls-explorer` sweeps run on
-//! an engine rather than on these directly.
+//! The engine is the only session: [`Engine::synth`] and
+//! [`Engine::run_batch`] serve registered jobs, and
+//! [`Engine::synth_point`] runs any [`crate::Strategy`] value
+//! (e.g. an explicit-interval `Pipelined::with_ii`) on an in-memory
+//! graph through the same caches — the door `rchls-explorer` sweeps and
+//! the CLI's `synth` use. The cache tiers themselves are internal.
 //!
 //! # Examples
 //!
@@ -50,15 +55,16 @@ mod starts;
 pub mod store_tier;
 
 pub use budget::CacheBudget;
-pub use cache::{CacheKey, CacheStats, SynthCache};
+use cache::SynthCache;
+pub use cache::{CacheKey, CacheStats};
 pub use executor::SweepExecutor;
 pub use fingerprint::{fingerprint, Fingerprint};
-pub use starts::StartsCache;
+pub(crate) use starts::StartsCache;
 pub use store_tier::{Provenance, StoredEntry};
 
 use crate::bounds::Bounds;
 use crate::error::SynthesisError;
-use crate::flow::{self, FlowSpec, SynthReport};
+use crate::flow::{self, FlowSpec, Strategy, SynthReport, SynthRequest};
 use crate::redundancy::RedundancyModel;
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
@@ -267,7 +273,7 @@ pub struct BatchReport {
     /// (cumulative; eviction never decrements it).
     pub memoized_points: usize,
     /// Distinct uniform start pools interned by the session's
-    /// [`StartsCache`] so far — the ROADMAP's unbounded-growth watch
+    /// starts cache so far — the ROADMAP's unbounded-growth watch
     /// number for long-running sessions.
     pub starts_pools: usize,
     /// Distinct allocation-first designs interned by the session so far.
@@ -354,13 +360,6 @@ impl Engine {
     #[must_use]
     pub fn cache_budget(&self) -> CacheBudget {
         self.budget
-    }
-
-    /// The session synthesis cache (and through it the starts cache and
-    /// scratch pool).
-    #[must_use]
-    pub fn cache(&self) -> &SynthCache {
-        &self.cache
     }
 
     /// Approximate resident bytes across the three memo layers plus the
@@ -556,6 +555,47 @@ impl Engine {
         }
     }
 
+    /// Runs `strategy` at one synthesis point through the session
+    /// caches: the memoized report if the point's fingerprint is known
+    /// (in memory or in the attached store), otherwise a fresh run on the
+    /// session library, scratch pool and starts cache, memoized and
+    /// written back. Infeasibility (and any other synthesis failure) maps
+    /// to `None`; [`Strategy::run`] on the same request recovers the
+    /// reason.
+    ///
+    /// `workload` is the graph's canonical spec when the caller knows
+    /// it. It rides into on-disk store entries as re-synthesis
+    /// provenance (`rchls store verify`) and never affects the cache key
+    /// or the result.
+    #[must_use]
+    pub fn synth_point(
+        &self,
+        dfg: &Dfg,
+        workload: Option<&str>,
+        bounds: Bounds,
+        flow: &FlowSpec,
+        model: RedundancyModel,
+        strategy: &dyn Strategy,
+    ) -> Option<SynthReport> {
+        let token = strategy.fingerprint_token();
+        let key = CacheKey::for_point(dfg, &self.library, bounds, flow, model, &token);
+        let provenance = workload.map(|spec| Provenance {
+            workload: spec.to_owned(),
+            flow: flow.clone(),
+            model,
+        });
+        self.cache
+            .get_or_compute(key, bounds, &token, provenance.as_ref(), || {
+                strategy.run(
+                    &SynthRequest::new(dfg, &self.library, bounds)
+                        .with_flow(flow.clone())
+                        .with_redundancy(model)
+                        .with_scratch_pool(self.cache.scratch_pool())
+                        .with_starts_cache(self.cache.starts_cache()),
+                )
+            })
+    }
+
     /// The cached synthesis of one job whose workload is already
     /// resolved. Validation (flow, strategy) happens before the cache so
     /// every failure mode has a canonical, order-independent message.
@@ -567,21 +607,19 @@ impl Engine {
         job.flow.resolve().map_err(EngineError::Flow)?;
         let strategy = flow::strategy(&job.strategy)
             .ok_or_else(|| EngineError::UnknownStrategy(job.strategy.clone()))?;
-        self.cache
-            .synthesize_with_workload(
-                &workload.dfg,
-                &self.library,
-                job.bounds(),
-                &job.flow,
-                job.redundancy,
-                &*strategy,
-                Some(&workload.spec),
-            )
-            .ok_or_else(|| EngineError::Infeasible {
-                workload: workload.spec.clone(),
-                bounds: job.bounds(),
-                strategy: job.strategy.clone(),
-            })
+        self.synth_point(
+            &workload.dfg,
+            Some(&workload.spec),
+            job.bounds(),
+            &job.flow,
+            job.redundancy,
+            &*strategy,
+        )
+        .ok_or_else(|| EngineError::Infeasible {
+            workload: workload.spec.clone(),
+            bounds: job.bounds(),
+            strategy: job.strategy.clone(),
+        })
     }
 }
 

@@ -11,8 +11,8 @@
 //! computation would have booked, so diagnostics stay byte-identical
 //! between a cache hit and a miss — only the wall time disappears).
 //!
-//! The cache is owned by the session [`SynthCache`](crate::engine::SynthCache)
-//! alongside the scratch pool and travels to every
+//! The cache is owned by the session [`Engine`](crate::Engine) alongside
+//! the scratch pool and travels to every
 //! [`Synthesizer`](crate::Synthesizer) through the
 //! [`SynthRequest`](crate::SynthRequest), so engine batches, explorer
 //! sweeps, and CLI sweeps all share one pool table per session.
@@ -93,7 +93,7 @@ impl AllocEntry {
 /// recorded request facts differ) is computed fresh and left uncached
 /// rather than answered wrongly.
 #[derive(Default)]
-pub struct StartsCache {
+pub(crate) struct StartsCache {
     entries: Mutex<BudgetedTable<StartsEntry>>,
     alloc: Mutex<BudgetedTable<AllocEntry>>,
     hits: AtomicU64,
@@ -103,24 +103,12 @@ pub struct StartsCache {
 }
 
 impl StartsCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> StartsCache {
-        StartsCache::default()
-    }
-
     /// Number of *resident* interned pools. Under a budget this can
     /// shrink; for the deterministic ever-interned count use
     /// [`StartsCache::seen_len`].
     #[must_use]
     pub fn len(&self) -> usize {
         crate::sync::lock_unpoisoned(&self.entries).len()
-    }
-
-    /// `true` when no pool is currently interned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of *resident* interned allocation-first designs (see
@@ -336,29 +324,40 @@ impl fmt::Debug for StartsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowSpec;
+    use crate::flow::{FlowSpec, SynthRequest};
+    use rchls_dfg::Dfg;
     use rchls_reslib::Library;
+
+    /// A synthesizer for `flow` at `bounds` with no session caches.
+    fn synth<'a>(
+        dfg: &'a Dfg,
+        lib: &'a Library,
+        bounds: Bounds,
+        flow: FlowSpec,
+    ) -> Synthesizer<'a> {
+        Synthesizer::for_request(&SynthRequest::new(dfg, lib, bounds).with_flow(flow)).unwrap()
+    }
 
     #[test]
     fn pools_are_interned_once_and_replay_call_counts() {
         let dfg = rchls_workloads::figure4a();
         let lib = Library::table1();
-        let cache = StartsCache::new();
+        let cache = StartsCache::default();
         let bounds = Bounds::new(6, 6);
 
-        let fresh_synth = Synthesizer::new(&dfg, &lib);
+        let fresh_synth = synth(&dfg, &lib, bounds, FlowSpec::default());
         let fresh = fresh_synth.uniform_feasible_starts_fresh(bounds).unwrap();
         let fresh_counts = fresh_synth.pass_call_counts();
         assert!(fresh_counts.0 > 0, "starts must schedule something");
 
-        let miss_synth = Synthesizer::new(&dfg, &lib);
+        let miss_synth = synth(&dfg, &lib, bounds, FlowSpec::default());
         let first = cache.get_or_compute(&miss_synth, bounds).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(miss_synth.pass_call_counts(), fresh_counts);
 
         // The hit returns the same pool and books the same call counts
         // without scheduling anything.
-        let hit_synth = Synthesizer::new(&dfg, &lib);
+        let hit_synth = synth(&dfg, &lib, bounds, FlowSpec::default());
         let second = cache.get_or_compute(&hit_synth, bounds).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(hit_synth.pass_call_counts(), fresh_counts);
@@ -371,19 +370,18 @@ mod tests {
         }
 
         // A different bound pair is a different pool.
-        let other_synth = Synthesizer::new(&dfg, &lib);
-        let _ = cache
-            .get_or_compute(&other_synth, Bounds::new(8, 8))
-            .unwrap();
+        let wider = Bounds::new(8, 8);
+        let other_synth = synth(&dfg, &lib, wider, FlowSpec::default());
+        let _ = cache.get_or_compute(&other_synth, wider).unwrap();
         assert_eq!(cache.len(), 2);
 
         // ... and a different scheduler/binder slot is too.
-        let force = Synthesizer::with_flow(
+        let force = synth(
             &dfg,
             &lib,
-            &FlowSpec::default().with_scheduler("force-directed"),
-        )
-        .unwrap();
+            bounds,
+            FlowSpec::default().with_scheduler("force-directed"),
+        );
         let _ = cache.get_or_compute(&force, bounds).unwrap();
         assert_eq!(cache.len(), 3);
     }
@@ -392,9 +390,9 @@ mod tests {
     fn alloc_designs_at_two_floors_never_serve_each_other() {
         let dfg = rchls_workloads::figure4a();
         let lib = Library::table1();
-        let cache = StartsCache::new();
-        let synth = Synthesizer::new(&dfg, &lib);
+        let cache = StartsCache::default();
         let bounds = Bounds::new(6, 6);
+        let synth = synth(&dfg, &lib, bounds, FlowSpec::default());
         let lookup = |floor: f64| {
             let mut diagnostics = Diagnostics::default();
             cache.alloc_design(&synth, bounds, floor, &mut diagnostics)

@@ -1,5 +1,5 @@
-//! The on-disk second cache tier: the payload codec between
-//! [`SynthCache`](crate::engine::SynthCache) entries and a
+//! The on-disk second cache tier: the payload codec between the
+//! [`Engine`](crate::Engine)'s memo-table entries and a
 //! [`rchls_store::ResultStore`].
 //!
 //! The store itself moves opaque strings; this module owns their shape.

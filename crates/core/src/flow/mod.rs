@@ -43,6 +43,9 @@ mod registry;
 mod spec;
 mod strategy;
 
+pub use crate::baseline::Baseline;
+pub use crate::combined::Combined;
+pub use crate::pipelined::Pipelined;
 pub use diagnostics::Diagnostics;
 pub use passes::{
     Binder, ColoringBinder, ColoringReferenceBinder, DensityReferenceScheduler, DensityScheduler,
@@ -57,6 +60,4 @@ pub use registry::{
     strategy, strategy_ids, victim_policy, victim_policy_ids, RegistryError,
 };
 pub use spec::{FlowSpec, ResolvedFlow};
-pub use strategy::{
-    Baseline, Combined, Ours, Pipelined, Redundancy, Strategy, SynthReport, SynthRequest,
-};
+pub use strategy::{Ours, Redundancy, Strategy, SynthReport, SynthRequest};

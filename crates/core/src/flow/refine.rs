@@ -560,7 +560,7 @@ fn upgrade_loop_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowSpec;
+    use crate::flow::{FlowSpec, Ours, Strategy, SynthRequest};
     use rchls_dfg::{Dfg, DfgBuilder, OpKind};
     use rchls_reslib::Library;
 
@@ -581,8 +581,8 @@ mod tests {
         cache: Option<&crate::engine::StartsCache>,
         unseeded: bool,
     ) -> Result<crate::SynthReport, String> {
-        let mut request = crate::flow::SynthRequest::new(dfg, lib, bounds)
-            .with_flow(FlowSpec::default().with_refine(refine));
+        let mut request =
+            SynthRequest::new(dfg, lib, bounds).with_flow(FlowSpec::default().with_refine(refine));
         if let Some(cache) = cache {
             request = request.with_starts_cache(cache);
         }
@@ -620,7 +620,7 @@ mod tests {
         cases.push((capped.spec, capped.dfg, Bounds::new(48, 64)));
 
         for (spec, dfg, bounds) in &cases {
-            let cache = crate::engine::StartsCache::new();
+            let cache = crate::engine::StartsCache::default();
             for strategy in ["ours", "combined"] {
                 for refine in ["greedy", "greedy-reference"] {
                     let what = format!("{strategy}/{refine} on {spec} at {bounds}");
@@ -668,18 +668,14 @@ mod tests {
         let lib = Library::table1();
         for (latency, area) in [(5u32, 4u32), (6, 4), (8, 8), (20, 10)] {
             let bounds = Bounds::new(latency, area);
-            let fast = Synthesizer::with_flow(&g, &lib, &FlowSpec::default())
+            let run = |refine: &str| {
+                Ours.run(
+                    &SynthRequest::new(&g, &lib, bounds)
+                        .with_flow(FlowSpec::default().with_refine(refine)),
+                )
                 .unwrap()
-                .synthesize_report(bounds)
-                .unwrap();
-            let slow = Synthesizer::with_flow(
-                &g,
-                &lib,
-                &FlowSpec::default().with_refine("greedy-reference"),
-            )
-            .unwrap()
-            .synthesize_report(bounds)
-            .unwrap();
+            };
+            let (fast, slow) = (run("greedy"), run("greedy-reference"));
             assert_eq!(fast.design, slow.design, "design at {bounds}");
             assert_eq!(
                 fast.diagnostics.scrubbed(),

@@ -45,7 +45,7 @@ use crate::flow::passes::{
     Scheduler, VictimPolicy,
 };
 use crate::flow::refine::{GreedyReferenceRefine, GreedyRefine};
-use crate::flow::strategy::{Baseline, Combined, Ours, Pipelined, Redundancy, Strategy};
+use crate::flow::{Baseline, Combined, Ours, Pipelined, Redundancy, Strategy};
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
 

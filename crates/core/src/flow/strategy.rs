@@ -1,6 +1,9 @@
 //! The [`Strategy`] trait — a whole synthesis algorithm as a pluggable
-//! value — plus the request/report types and the five built-in
-//! strategies.
+//! value — plus the request/report types and the `ours` and
+//! `redundancy` strategies. The other three built-ins live with their
+//! algorithms: [`Baseline`](crate::flow::Baseline),
+//! [`Combined`](crate::flow::Combined) and
+//! [`Pipelined`](crate::flow::Pipelined).
 
 use crate::bounds::Bounds;
 use crate::design::Design;
@@ -66,14 +69,14 @@ impl<'a> SynthRequest<'a> {
     /// Attaches a session [`ScratchPool`]; strategies hand it to every
     /// [`Synthesizer`] they construct so repeated points share arenas.
     #[must_use]
-    pub fn with_scratch_pool(mut self, pool: &'a ScratchPool) -> SynthRequest<'a> {
+    pub(crate) fn with_scratch_pool(mut self, pool: &'a ScratchPool) -> SynthRequest<'a> {
         self.scratch_pool = Some(pool);
         self
     }
 
     /// The attached session scratch pool, if any.
     #[must_use]
-    pub fn scratch_pool(&self) -> Option<&'a ScratchPool> {
+    pub(crate) fn scratch_pool(&self) -> Option<&'a ScratchPool> {
         self.scratch_pool
     }
 
@@ -82,14 +85,17 @@ impl<'a> SynthRequest<'a> {
     /// `(graph, library, bounds, scheduler, binder)` instead of
     /// rescheduling them for every point.
     #[must_use]
-    pub fn with_starts_cache(mut self, cache: &'a crate::engine::StartsCache) -> SynthRequest<'a> {
+    pub(crate) fn with_starts_cache(
+        mut self,
+        cache: &'a crate::engine::StartsCache,
+    ) -> SynthRequest<'a> {
         self.starts_cache = Some(cache);
         self
     }
 
     /// The attached session starts cache, if any.
     #[must_use]
-    pub fn starts_cache(&self) -> Option<&'a crate::engine::StartsCache> {
+    pub(crate) fn starts_cache(&self) -> Option<&'a crate::engine::StartsCache> {
         self.starts_cache
     }
 }
@@ -167,111 +173,6 @@ impl Strategy for Ours {
     }
 }
 
-/// The redundancy-based prior art (Orailoglu–Karri NMR over the fastest
-/// single version per class). Id `"baseline"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Baseline;
-
-impl Strategy for Baseline {
-    fn id(&self) -> &str {
-        "baseline"
-    }
-
-    fn description(&self) -> &str {
-        "prior art: fixed fastest version per class + modular redundancy (Ref [3])"
-    }
-
-    fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
-        crate::baseline::nmr_baseline_report_pooled(
-            request.dfg,
-            request.library,
-            request.bounds,
-            &request.flow,
-            request.redundancy,
-            request.scratch_pool,
-        )
-    }
-}
-
-/// The paper's unified scheme: reliability-centric selection, then
-/// leftover-area redundancy, as a portfolio with the baseline. Id
-/// `"combined"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Combined;
-
-impl Strategy for Combined {
-    fn id(&self) -> &str {
-        "combined"
-    }
-
-    fn description(&self) -> &str {
-        "reliability-centric selection + leftover-area redundancy (portfolio with baseline)"
-    }
-
-    fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
-        crate::combined::combined_report_for(request)
-    }
-}
-
-/// Pipelined reliability-centric synthesis at a fixed initiation
-/// interval. Id `"pipelined"`.
-///
-/// The registered default instance runs at the *automatic* interval
-/// `max(1, Ld / 2)`; [`Pipelined::with_ii`] pins an explicit one. The
-/// interval participates in [`Strategy::fingerprint_token`] so cached
-/// sweeps at different intervals never collide.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Pipelined {
-    ii: Option<u32>,
-}
-
-impl Pipelined {
-    /// The automatic-interval instance (`ii = max(1, Ld / 2)`).
-    #[must_use]
-    pub fn auto() -> Pipelined {
-        Pipelined { ii: None }
-    }
-
-    /// A fixed-interval instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii == 0`.
-    #[must_use]
-    pub fn with_ii(ii: u32) -> Pipelined {
-        assert!(ii > 0, "initiation interval must be positive");
-        Pipelined { ii: Some(ii) }
-    }
-
-    /// The interval this instance runs at under `bounds`.
-    #[must_use]
-    pub fn effective_ii(&self, bounds: Bounds) -> u32 {
-        self.ii.unwrap_or_else(|| (bounds.latency / 2).max(1))
-    }
-}
-
-impl Strategy for Pipelined {
-    fn id(&self) -> &str {
-        "pipelined"
-    }
-
-    fn description(&self) -> &str {
-        "pipelined data path: modulo scheduling + collision-free binding at a fixed II"
-    }
-
-    fn fingerprint_token(&self) -> String {
-        match self.ii {
-            Some(ii) => format!("pipelined@ii={ii}"),
-            None => "pipelined@auto".to_owned(),
-        }
-    }
-
-    fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
-        let ii = self.effective_ii(request.bounds);
-        Synthesizer::for_request(request)?.synthesize_pipelined_report(request.bounds, ii)
-    }
-}
-
 /// Pure redundancy over the best *single-version* design: every uniform
 /// one-version-per-class assignment that meets the bounds is scheduled at
 /// the full latency budget (maximal sharing), the leftover area is spent
@@ -346,6 +247,7 @@ impl Strategy for Redundancy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{Baseline, Combined, Pipelined};
     use rchls_dfg::{DfgBuilder, OpKind};
 
     fn figure4a() -> Dfg {
@@ -359,18 +261,6 @@ mod tests {
             .dep("E", "F")
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn ours_report_matches_legacy_synthesize() {
-        let g = figure4a();
-        let lib = Library::table1();
-        let bounds = Bounds::new(6, 4);
-        let report = Ours.run(&SynthRequest::new(&g, &lib, bounds)).unwrap();
-        let legacy = Synthesizer::new(&g, &lib).synthesize(bounds).unwrap();
-        assert_eq!(report.design, legacy);
-        // The greedy refine pass records its starting-portfolio size.
-        assert!(!report.diagnostics.candidate_pool_sizes.is_empty());
     }
 
     #[test]

@@ -11,20 +11,20 @@
 //! implement the [`Strategy`] trait, turning a [`SynthRequest`] into a
 //! diagnostics-carrying [`SynthReport`]. Five strategies ship built in:
 //!
-//! * `"ours"` ([`Synthesizer`]) — the paper's Figure-6 algorithm: start
-//!   from the most reliable version everywhere, then degrade carefully
-//!   chosen victims until the latency bound and then the area bound are
-//!   met;
-//! * `"baseline"` ([`synthesize_nmr_baseline`]) — the redundancy-based
-//!   prior art (Orailoglu–Karri): one fixed version per class,
-//!   reliability grown by N-modular redundancy within the leftover area;
-//! * `"combined"` ([`synthesize_combined`]) — the paper's unified scheme:
-//!   run the reliability-centric algorithm, then spend any remaining area
-//!   on redundancy;
-//! * `"pipelined"` ([`Synthesizer::synthesize_pipelined`]) — the same
-//!   reliability-centric selection under modulo scheduling at a fixed
-//!   initiation interval;
-//! * `"redundancy"` — replication over the best single-version design.
+//! * `"ours"` ([`flow::Ours`]) — the paper's Figure-6 algorithm
+//!   ([`Synthesizer`]): start from the most reliable version everywhere,
+//!   then degrade carefully chosen victims until the latency bound and
+//!   then the area bound are met;
+//! * `"baseline"` ([`flow::Baseline`]) — the redundancy-based prior art
+//!   (Orailoglu–Karri): one fixed version per class, reliability grown
+//!   by N-modular redundancy within the leftover area;
+//! * `"combined"` ([`flow::Combined`]) — the paper's unified scheme: run
+//!   the reliability-centric algorithm, then spend any remaining area on
+//!   redundancy;
+//! * `"pipelined"` ([`flow::Pipelined`]) — the same reliability-centric
+//!   selection under modulo scheduling at a fixed initiation interval;
+//! * `"redundancy"` ([`flow::Redundancy`]) — replication over the best
+//!   single-version design.
 //!
 //! Out-of-tree crates extend any slot by registering a trait impl (see
 //! [`flow::register_scheduler`]). [`modes`] implements the paper's
@@ -32,18 +32,20 @@
 //! reliability bound); the (latency, area) sweeps behind the paper's
 //! tables and figures run on an [`Engine`] through `rchls-explorer`.
 //!
-//! For serving many requests, [`engine`] wraps the per-call API in a
-//! session: an [`Engine`] interns the library and every workload behind
-//! `Arc`, memoizes synthesis points in a fingerprint cache, and runs
-//! [`SynthJob`] batches in parallel with deterministic, job-ordered
-//! output. Workloads are addressed by spec strings (`builtin:fir16`,
-//! `random:64x8@7`, `file:path.dfg`) resolved through the open
-//! [`rchls_workloads`] source registry.
+//! There are two ways in. [`Strategy::run`] is the uncached primitive:
+//! one request, one fresh synthesis. An [`Engine`] is the session: it
+//! interns the library and every workload behind `Arc`, memoizes
+//! synthesis points in a fingerprint cache (optionally tiered over an
+//! on-disk store), and runs [`SynthJob`] batches in parallel with
+//! deterministic, job-ordered output. Workloads are addressed by spec
+//! strings (`builtin:fir16`, `random:64x8@7`, `file:path.dfg`) resolved
+//! through the open [`rchls_workloads`] source registry.
 //!
 //! # Examples
 //!
 //! ```
-//! use rchls_core::{Bounds, Synthesizer};
+//! use rchls_core::flow::Ours;
+//! use rchls_core::{Bounds, Strategy, SynthRequest};
 //! use rchls_dfg::{DfgBuilder, OpKind};
 //! use rchls_reslib::Library;
 //!
@@ -53,7 +55,9 @@
 //!     .dep("a", "b")
 //!     .build()?;
 //! let library = Library::table1();
-//! let design = Synthesizer::new(&dfg, &library).synthesize(Bounds::new(4, 4))?;
+//! let design = Ours
+//!     .run(&SynthRequest::new(&dfg, &library, Bounds::new(4, 4)))?
+//!     .design;
 //! assert!(design.latency <= 4);
 //! assert!(design.area <= 4);
 //! // Plenty of slack: both adds run on the most reliable adder.
@@ -82,14 +86,11 @@ mod sync;
 mod synth;
 mod validate;
 
-pub use baseline::{baseline_versions, nmr_baseline_report, synthesize_nmr_baseline};
 pub use bounds::Bounds;
-pub use combined::{combined_report, synthesize_combined};
 pub use design::Design;
 pub use engine::{BatchReport, CacheBudget, Engine, EngineError, JobOutcome, SynthJob};
 pub use error::SynthesisError;
 pub use flow::{Diagnostics, FlowSpec, Strategy, SynthReport, SynthRequest};
 pub use redundancy::{add_redundancy, add_redundancy_with_model, RedundancyModel};
-pub use scratch::{ScratchPool, SynthScratch};
 pub use synth::Synthesizer;
 pub use validate::monte_carlo_reliability;

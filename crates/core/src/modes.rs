@@ -10,10 +10,16 @@
 use crate::bounds::Bounds;
 use crate::design::Design;
 use crate::error::SynthesisError;
-use crate::synth::Synthesizer;
+use crate::flow::{Ours, Strategy, SynthRequest};
 use rchls_dfg::Dfg;
 use rchls_relmath::Reliability;
 use rchls_reslib::Library;
+
+/// The primal synthesizer's design at `bounds` under the default flow.
+fn ours(dfg: &Dfg, library: &Library, bounds: Bounds) -> Result<Design, SynthesisError> {
+    Ours.run(&SynthRequest::new(dfg, library, bounds))
+        .map(|r| r.design)
+}
 
 /// Finds the minimum-area design meeting a latency bound and a
 /// reliability floor.
@@ -51,9 +57,7 @@ pub fn minimize_area(
     area_cap: u32,
 ) -> Result<Design, SynthesisError> {
     for area in 1..=area_cap {
-        if let Ok(design) =
-            Synthesizer::new(dfg, library).synthesize(Bounds::new(latency_bound, area))
-        {
+        if let Ok(design) = ours(dfg, library, Bounds::new(latency_bound, area)) {
             if design.reliability.value() + 1e-12 >= reliability_floor.value() {
                 return Ok(design);
             }
@@ -101,9 +105,7 @@ pub fn minimize_latency(
     latency_cap: u32,
 ) -> Result<Design, SynthesisError> {
     for latency in 1..=latency_cap {
-        if let Ok(design) =
-            Synthesizer::new(dfg, library).synthesize(Bounds::new(latency, area_bound))
-        {
+        if let Ok(design) = ours(dfg, library, Bounds::new(latency, area_bound)) {
             if design.reliability.value() + 1e-12 >= reliability_floor.value() {
                 return Ok(design);
             }

@@ -83,7 +83,7 @@ counter_handle!(
     /// ran its list scheduler on.
     alloc_search_list_scheduled, "alloc_search.list_scheduled");
 counter_handle!(
-    /// `scratch_pool.lends` — arenas handed out by [`crate::ScratchPool`].
+    /// `scratch_pool.lends` — arenas handed out by the session scratch pool.
     scratch_pool_lends, "scratch_pool.lends");
 counter_handle!(
     /// `scratch_pool.creates` — lends that had to allocate a new arena.

@@ -11,83 +11,109 @@
 use crate::bounds::Bounds;
 use crate::design::Design;
 use crate::error::SynthesisError;
-use crate::flow::{Diagnostics, SynthReport};
+use crate::flow::{Diagnostics, Strategy, SynthReport, SynthRequest};
 use crate::synth::Synthesizer;
 use rchls_bind::bind_left_edge_pipelined;
 use rchls_sched::{asap, schedule_modulo};
 
-impl Synthesizer<'_> {
-    /// Synthesizes a pipelined data path with initiation interval `ii`:
-    /// the most reliable design whose schedule length fits
-    /// `bounds.latency` and whose **pipelined** binding (units shared only
-    /// across non-colliding residues mod `ii`) fits `bounds.area`.
-    ///
-    /// A smaller `ii` means higher throughput but more unit pressure; at
-    /// `ii >= bounds.latency` this degenerates to the non-pipelined
-    /// problem.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Synthesizer::synthesize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii == 0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rchls_core::{Bounds, Synthesizer};
-    /// use rchls_reslib::Library;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dfg = rchls_workloads::diffeq();
-    /// let library = Library::table1();
-    /// let synth = Synthesizer::new(&dfg, &library);
-    /// let plain = synth.synthesize(Bounds::new(8, 12))?;
-    /// let piped = synth.synthesize_pipelined(Bounds::new(8, 12), 4)?;
-    /// // Pipelining can only increase unit pressure, never reduce it.
-    /// assert!(piped.area >= plain.area || piped.reliability.value() <= plain.reliability.value());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn synthesize_pipelined(&self, bounds: Bounds, ii: u32) -> Result<Design, SynthesisError> {
-        self.synthesize_pipelined_report(bounds, ii)
-            .map(|r| r.design)
+/// Pipelined reliability-centric synthesis at a fixed initiation
+/// interval. Id `"pipelined"`.
+///
+/// Finds the most reliable design whose schedule length fits
+/// `bounds.latency` and whose **pipelined** binding (units shared only
+/// across non-colliding residues mod the interval) fits `bounds.area`.
+/// A smaller interval means higher throughput but more unit pressure; at
+/// an interval `>= bounds.latency` this degenerates to the non-pipelined
+/// problem.
+///
+/// The registered default instance runs at the *automatic* interval
+/// `max(1, Ld / 2)`; [`Pipelined::with_ii`] pins an explicit one. The
+/// interval participates in [`Strategy::fingerprint_token`] so cached
+/// sweeps at different intervals never collide.
+///
+/// # Examples
+///
+/// ```
+/// use rchls_core::flow::{Ours, Pipelined};
+/// use rchls_core::{Bounds, Strategy, SynthRequest};
+/// use rchls_reslib::Library;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let dfg = rchls_workloads::diffeq();
+/// let library = Library::table1();
+/// let request = SynthRequest::new(&dfg, &library, Bounds::new(8, 12));
+/// let plain = Ours.run(&request)?.design;
+/// let piped = Pipelined::with_ii(4).run(&request)?.design;
+/// // Pipelining can only increase unit pressure, never reduce it.
+/// assert!(piped.area >= plain.area || piped.reliability.value() <= plain.reliability.value());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Pipelined {
+    ii: Option<u32>,
+}
+
+impl Pipelined {
+    /// The automatic-interval instance (`ii = max(1, Ld / 2)`).
+    #[must_use]
+    pub fn auto() -> Pipelined {
+        Pipelined { ii: None }
     }
 
-    /// [`synthesize_pipelined`](Synthesizer::synthesize_pipelined) with a
-    /// full diagnostics-carrying [`SynthReport`] — the engine behind the
-    /// `"pipelined"` [`Strategy`](crate::Strategy).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Synthesizer::synthesize`].
+    /// A fixed-interval instance.
     ///
     /// # Panics
     ///
     /// Panics if `ii == 0`.
-    pub fn synthesize_pipelined_report(
-        &self,
-        bounds: Bounds,
-        ii: u32,
-    ) -> Result<SynthReport, SynthesisError> {
+    #[must_use]
+    pub fn with_ii(ii: u32) -> Pipelined {
         assert!(ii > 0, "initiation interval must be positive");
+        Pipelined { ii: Some(ii) }
+    }
+
+    /// The interval this instance runs at under `bounds`.
+    #[must_use]
+    pub fn effective_ii(&self, bounds: Bounds) -> u32 {
+        self.ii.unwrap_or_else(|| (bounds.latency / 2).max(1))
+    }
+}
+
+impl Strategy for Pipelined {
+    fn id(&self) -> &str {
+        "pipelined"
+    }
+
+    fn description(&self) -> &str {
+        "pipelined data path: modulo scheduling + collision-free binding at a fixed II"
+    }
+
+    fn fingerprint_token(&self) -> String {
+        match self.ii {
+            Some(ii) => format!("pipelined@ii={ii}"),
+            None => "pipelined@auto".to_owned(),
+        }
+    }
+
+    fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
+        let (bounds, ii) = (request.bounds, self.effective_ii(request.bounds));
+        let synth = Synthesizer::for_request(request)?;
         let span = rchls_telemetry::span!(timed: "strategy.pipelined");
-        self.dfg()
+        request
+            .dfg
             .validate()
             .map_err(rchls_sched::ScheduleError::from)?;
 
         // Portfolio over uniform starting points, each greedily upgraded
         // under modulo scheduling / collision-free binding.
         let mut diagnostics = Diagnostics::default();
-        let starts = self.pipelined_starts(bounds, ii)?;
+        let starts = pipelined_starts(&synth, bounds, ii)?;
         diagnostics
             .candidate_pool_sizes
             .push(u32::try_from(starts.len()).unwrap_or(u32::MAX));
         let mut best: Option<Design> = None;
         for start in starts {
-            let candidate = self.pipeline_refine(start, bounds, ii, &mut diagnostics)?;
+            let candidate = pipeline_refine(&synth, start, bounds, ii, &mut diagnostics)?;
             let better = match &best {
                 None => true,
                 Some(b) => candidate.reliability.value() > b.reliability.value(),
@@ -99,123 +125,134 @@ impl Synthesizer<'_> {
         let design = best.ok_or_else(|| SynthesisError::NoSolution {
             reason: format!("no pipelined design meets {bounds} at II={ii}"),
         })?;
-        self.harvest_timers(&mut diagnostics);
+        synth.harvest_timers(&mut diagnostics);
         diagnostics.wall_time_micros = span.elapsed_micros();
         Ok(SynthReport {
             design,
             diagnostics,
         })
     }
+}
 
-    /// Feasible uniform starting points for the pipelined search.
-    fn pipelined_starts(&self, bounds: Bounds, ii: u32) -> Result<Vec<Design>, SynthesisError> {
-        let mut out = Vec::new();
-        for assignment in self.uniform_assignments()? {
-            let delays = assignment.delays(self.dfg(), self.library());
-            let min = asap(self.dfg(), &delays)?.latency();
-            if min > bounds.latency {
-                continue;
-            }
-            let Ok(schedule) = schedule_modulo(self.dfg(), &delays, bounds.latency, ii) else {
-                continue;
-            };
-            let binding =
-                bind_left_edge_pipelined(self.dfg(), &schedule, &assignment, self.library(), ii);
-            if binding.total_area(self.library()) > bounds.area {
-                continue;
-            }
-            let replication = vec![1u32; binding.instance_count()];
-            out.push(Design::assemble(
-                self.dfg(),
-                self.library(),
-                assignment,
-                schedule,
-                binding,
-                replication,
-            ));
+/// Feasible uniform starting points for the pipelined search.
+fn pipelined_starts(
+    synth: &Synthesizer<'_>,
+    bounds: Bounds,
+    ii: u32,
+) -> Result<Vec<Design>, SynthesisError> {
+    let mut out = Vec::new();
+    for assignment in synth.uniform_assignments()? {
+        let delays = assignment.delays(synth.dfg(), synth.library());
+        let min = asap(synth.dfg(), &delays)?.latency();
+        if min > bounds.latency {
+            continue;
         }
-        Ok(out)
+        let Ok(schedule) = schedule_modulo(synth.dfg(), &delays, bounds.latency, ii) else {
+            continue;
+        };
+        let binding =
+            bind_left_edge_pipelined(synth.dfg(), &schedule, &assignment, synth.library(), ii);
+        if binding.total_area(synth.library()) > bounds.area {
+            continue;
+        }
+        let replication = vec![1u32; binding.instance_count()];
+        out.push(Design::assemble(
+            synth.dfg(),
+            synth.library(),
+            assignment,
+            schedule,
+            binding,
+            replication,
+        ));
     }
+    Ok(out)
+}
 
-    /// Greedy upgrade pass under pipelined scheduling/binding.
-    fn pipeline_refine(
-        &self,
-        mut design: Design,
-        bounds: Bounds,
-        ii: u32,
-        diagnostics: &mut Diagnostics,
-    ) -> Result<Design, SynthesisError> {
-        loop {
-            diagnostics.loop_iterations += 1;
-            let mut improved: Option<Design> = None;
-            for n in self.dfg().node_ids() {
-                let cur = design.assignment.version(n);
-                let cur_r = self.library().version(cur).reliability().value();
-                for (v, ver) in self.library().versions_of(self.dfg().node(n).class()) {
-                    if ver.reliability().value() <= cur_r {
-                        continue;
-                    }
-                    let mut assignment = design.assignment.clone();
-                    assignment.set(n, v);
-                    let delays = assignment.delays(self.dfg(), self.library());
-                    if asap(self.dfg(), &delays)?.latency() > bounds.latency {
-                        diagnostics.rejected_moves += 1;
-                        continue;
-                    }
-                    let Ok(schedule) = schedule_modulo(self.dfg(), &delays, bounds.latency, ii)
-                    else {
-                        diagnostics.rejected_moves += 1;
-                        continue;
-                    };
-                    let binding = bind_left_edge_pipelined(
-                        self.dfg(),
-                        &schedule,
-                        &assignment,
-                        self.library(),
-                        ii,
-                    );
-                    if binding.total_area(self.library()) > bounds.area {
-                        diagnostics.rejected_moves += 1;
-                        continue;
-                    }
-                    let replication = vec![1u32; binding.instance_count()];
-                    let cand = Design::assemble(
-                        self.dfg(),
-                        self.library(),
-                        assignment,
-                        schedule,
-                        binding,
-                        replication,
-                    );
-                    let gain = cand.reliability.value() - design.reliability.value();
-                    if gain <= 1e-15 {
-                        continue;
-                    }
-                    let better = improved
-                        .as_ref()
-                        .is_none_or(|i| cand.reliability.value() > i.reliability.value());
-                    if better {
-                        improved = Some(cand);
-                    }
+/// Greedy upgrade pass under pipelined scheduling/binding.
+fn pipeline_refine(
+    synth: &Synthesizer<'_>,
+    mut design: Design,
+    bounds: Bounds,
+    ii: u32,
+    diagnostics: &mut Diagnostics,
+) -> Result<Design, SynthesisError> {
+    loop {
+        diagnostics.loop_iterations += 1;
+        let mut improved: Option<Design> = None;
+        for n in synth.dfg().node_ids() {
+            let cur = design.assignment.version(n);
+            let cur_r = synth.library().version(cur).reliability().value();
+            for (v, ver) in synth.library().versions_of(synth.dfg().node(n).class()) {
+                if ver.reliability().value() <= cur_r {
+                    continue;
+                }
+                let mut assignment = design.assignment.clone();
+                assignment.set(n, v);
+                let delays = assignment.delays(synth.dfg(), synth.library());
+                if asap(synth.dfg(), &delays)?.latency() > bounds.latency {
+                    diagnostics.rejected_moves += 1;
+                    continue;
+                }
+                let Ok(schedule) = schedule_modulo(synth.dfg(), &delays, bounds.latency, ii) else {
+                    diagnostics.rejected_moves += 1;
+                    continue;
+                };
+                let binding = bind_left_edge_pipelined(
+                    synth.dfg(),
+                    &schedule,
+                    &assignment,
+                    synth.library(),
+                    ii,
+                );
+                if binding.total_area(synth.library()) > bounds.area {
+                    diagnostics.rejected_moves += 1;
+                    continue;
+                }
+                let replication = vec![1u32; binding.instance_count()];
+                let cand = Design::assemble(
+                    synth.dfg(),
+                    synth.library(),
+                    assignment,
+                    schedule,
+                    binding,
+                    replication,
+                );
+                let gain = cand.reliability.value() - design.reliability.value();
+                if gain <= 1e-15 {
+                    continue;
+                }
+                let better = improved
+                    .as_ref()
+                    .is_none_or(|i| cand.reliability.value() > i.reliability.value());
+                if better {
+                    improved = Some(cand);
                 }
             }
-            match improved {
-                Some(d) => {
-                    diagnostics.refine_upgrades += 1;
-                    design = d;
-                }
-                None => break,
-            }
         }
-        Ok(design)
+        match improved {
+            Some(d) => {
+                diagnostics.refine_upgrades += 1;
+                design = d;
+            }
+            None => break,
+        }
     }
+    Ok(design)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_dfg::{DfgBuilder, OpClass, OpKind};
+    use crate::flow::Ours;
+    use rchls_dfg::{Dfg, DfgBuilder, OpClass, OpKind};
     use rchls_reslib::Library;
+
+    /// The pipelined design at `bounds` and interval `ii`.
+    fn piped(g: &Dfg, lib: &Library, bounds: Bounds, ii: u32) -> Result<Design, SynthesisError> {
+        Pipelined::with_ii(ii)
+            .run(&SynthRequest::new(g, lib, bounds))
+            .map(|r| r.design)
+    }
 
     #[test]
     fn pipelined_design_respects_modulo_area() {
@@ -224,11 +261,10 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let synth = Synthesizer::new(&g, &lib);
         // II = 1: every op needs its own unit residue; 4 ops -> heavy area.
-        let d1 = synth.synthesize_pipelined(Bounds::new(8, 16), 1).unwrap();
+        let d1 = piped(&g, &lib, Bounds::new(8, 16), 1).unwrap();
         // II = 4: ops can stagger onto fewer units.
-        let d4 = synth.synthesize_pipelined(Bounds::new(8, 16), 4).unwrap();
+        let d4 = piped(&g, &lib, Bounds::new(8, 16), 4).unwrap();
         assert!(
             d1.area >= d4.area,
             "II=1 area {} < II=4 area {}",
@@ -248,9 +284,7 @@ mod tests {
         let lib = Library::table1();
         // At II=1 each 1cc add occupies the single residue: four units of
         // at least area 1 each... area bound 2 cannot fit 4 adder units.
-        let err = Synthesizer::new(&g, &lib)
-            .synthesize_pipelined(Bounds::new(8, 2), 1)
-            .unwrap_err();
+        let err = piped(&g, &lib, Bounds::new(8, 2), 1).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }));
     }
 
@@ -262,9 +296,7 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize_pipelined(Bounds::new(6, 8), 3)
-            .unwrap();
+        let d = piped(&g, &lib, Bounds::new(6, 8), 3).unwrap();
         // Plenty of slack: both adds should reach the most reliable adder.
         assert!((d.reliability.value() - 0.999f64.powi(2)).abs() < 1e-9);
     }
@@ -273,10 +305,12 @@ mod tests {
     fn large_ii_matches_unpipelined_unit_counts() {
         let g = rchls_workloads::diffeq();
         let lib = Library::table1();
-        let synth = Synthesizer::new(&g, &lib);
         let bounds = Bounds::new(8, 14);
-        let piped = synth.synthesize_pipelined(bounds, bounds.latency).unwrap();
-        let plain = synth.synthesize(bounds).unwrap();
+        let piped = piped(&g, &lib, bounds, bounds.latency).unwrap();
+        let plain = Ours
+            .run(&SynthRequest::new(&g, &lib, bounds))
+            .unwrap()
+            .design;
         // With II = latency no folding occurs, so the pipelined result is
         // never worse in area than a non-pipelined design of equal
         // reliability would suggest (both meet the same bounds).

@@ -114,14 +114,16 @@ pub fn add_redundancy_with_model(
 /// # Examples
 ///
 /// ```
-/// use rchls_core::{add_redundancy, Bounds, Synthesizer};
+/// use rchls_core::flow::Ours;
+/// use rchls_core::{add_redundancy, Bounds, Strategy, SynthRequest};
 /// use rchls_dfg::{DfgBuilder, OpKind};
 /// use rchls_reslib::Library;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dfg = DfgBuilder::new("one").op("a", OpKind::Add).build()?;
 /// let library = Library::table1();
-/// let mut design = Synthesizer::new(&dfg, &library).synthesize(Bounds::new(4, 9))?;
+/// let request = SynthRequest::new(&dfg, &library, Bounds::new(4, 9));
+/// let mut design = Ours.run(&request)?.design;
 /// let before = design.reliability;
 /// let applied = add_redundancy(&mut design, &dfg, &library, 9);
 /// assert!(applied >= 1);
@@ -138,7 +140,7 @@ pub fn add_redundancy(design: &mut Design, dfg: &Dfg, library: &Library, area_bo
 mod tests {
     use super::*;
     use crate::bounds::Bounds;
-    use crate::synth::Synthesizer;
+    use crate::flow::{Ours, Strategy, SynthRequest};
     use rchls_dfg::{DfgBuilder, OpKind};
 
     fn chain2() -> Dfg {
@@ -153,9 +155,10 @@ mod tests {
     fn no_budget_no_redundancy() {
         let g = chain2();
         let lib = Library::table1();
-        let mut d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(6, 2))
-            .unwrap();
+        let mut d = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(6, 2)))
+            .unwrap()
+            .design;
         let area = d.area;
         let applied = add_redundancy(&mut d, &g, &lib, area);
         assert_eq!(applied, 0);
@@ -167,9 +170,10 @@ mod tests {
         let g = chain2();
         let lib = Library::table1();
         for budget in 2..=10 {
-            let mut d = Synthesizer::new(&g, &lib)
-                .synthesize(Bounds::new(6, 2))
-                .unwrap();
+            let mut d = Ours
+                .run(&SynthRequest::new(&g, &lib, Bounds::new(6, 2)))
+                .unwrap()
+                .design;
             let before = d.reliability.value();
             add_redundancy(&mut d, &g, &lib, budget);
             assert!(d.area <= budget, "budget {budget}: area {}", d.area);
@@ -184,9 +188,10 @@ mod tests {
     fn duplex_model_stops_at_two_copies() {
         let g = DfgBuilder::new("one").op("a", OpKind::Add).build().unwrap();
         let lib = Library::table1();
-        let mut d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(4, 1))
-            .unwrap();
+        let mut d = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(4, 1)))
+            .unwrap()
+            .design;
         assert_eq!(d.area, 1); // single adder1
         add_redundancy(&mut d, &g, &lib, 10);
         // Duplex with perfect recovery dominates TMR, so the greedy stops
@@ -201,9 +206,10 @@ mod tests {
     fn nmr_only_model_triplicates() {
         let g = DfgBuilder::new("one").op("a", OpKind::Add).build().unwrap();
         let lib = Library::table1();
-        let mut d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(4, 1))
-            .unwrap();
+        let mut d = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(4, 1)))
+            .unwrap()
+            .design;
         add_redundancy_with_model(&mut d, &g, &lib, 3, RedundancyModel::NmrOnly);
         assert_eq!(d.replication, vec![3]);
         let r = 0.999f64;
@@ -215,9 +221,10 @@ mod tests {
     fn nmr_only_grows_to_five_with_budget() {
         let g = DfgBuilder::new("one").op("a", OpKind::Add).build().unwrap();
         let lib = Library::table1();
-        let mut d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(4, 1))
-            .unwrap();
+        let mut d = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(4, 1)))
+            .unwrap()
+            .design;
         add_redundancy_with_model(&mut d, &g, &lib, 5, RedundancyModel::NmrOnly);
         assert_eq!(d.replication, vec![5]);
     }

@@ -8,11 +8,11 @@
 //! concurrent jobs so a whole batch/sweep session allocates a handful of
 //! arenas total instead of re-allocating per point.
 //!
-//! The pool is wired through the stack automatically: every
-//! [`SynthCache`](crate::SynthCache) owns one (so the engine's batches,
-//! the explorer's sweeps, and the CLI's sweep/pareto/batch commands all
-//! pool), and [`SynthRequest`](crate::SynthRequest) carries an optional
-//! pool reference for strategies to hand to the
+//! The pool is wired through the stack automatically: every session
+//! [`Engine`](crate::Engine) owns one (so batches, the explorer's sweeps,
+//! and every synthesizing CLI command pool), and
+//! [`SynthRequest`](crate::SynthRequest) carries an optional pool
+//! reference for strategies to hand to the
 //! [`Synthesizer`](crate::Synthesizer) they construct.
 
 use rchls_bind::BindScratch;
@@ -22,7 +22,7 @@ use std::sync::Mutex;
 
 /// The per-synthesis-run scratch bundle.
 #[derive(Debug, Default)]
-pub struct SynthScratch {
+pub(crate) struct SynthScratch {
     /// Scheduling buffers (cached topological order, windows, densities).
     pub sched: SchedScratch,
     /// Binding buffers (version groups, interval/conflict state).
@@ -65,17 +65,11 @@ struct PoolState {
 /// the budget — arenas are pure capacity, so dropping one never changes
 /// results, only the next acquire's allocation cost.
 #[derive(Default)]
-pub struct ScratchPool {
+pub(crate) struct ScratchPool {
     pool: Mutex<PoolState>,
 }
 
 impl ScratchPool {
-    /// An empty pool.
-    #[must_use]
-    pub fn new() -> ScratchPool {
-        ScratchPool::default()
-    }
-
     /// Caps the bytes of idle arena capacity the pool may retain
     /// (`None` = unlimited). A budget of 0 disables pooling entirely.
     pub fn set_budget(&self, budget: Option<usize>) {
@@ -146,7 +140,7 @@ mod tests {
 
     #[test]
     fn pool_recycles_arenas() {
-        let pool = ScratchPool::new();
+        let pool = ScratchPool::default();
         assert_eq!(pool.idle(), 0);
         let a = pool.acquire();
         let b = pool.acquire();

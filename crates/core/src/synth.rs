@@ -49,6 +49,12 @@ struct PhaseTimers {
 ///
 /// If both loops exhaust their alternatives the design space is empty and
 /// [`SynthesisError::NoSolution`] is returned (line 29).
+///
+/// Run it through the `"ours"` strategy ([`Ours`](crate::flow::Ours)) or
+/// an [`Engine`](crate::Engine). It has no public constructor: a custom
+/// [`RefinePass`](crate::flow::RefinePass) receives one, with the graph,
+/// library, flow and [`schedule_and_bind`](Synthesizer::schedule_and_bind)
+/// primitive it needs.
 #[derive(Debug)]
 pub struct Synthesizer<'a> {
     dfg: &'a Dfg,
@@ -75,59 +81,9 @@ impl Drop for Synthesizer<'_> {
 }
 
 impl<'a> Synthesizer<'a> {
-    /// Creates a synthesizer with the default flow: the paper's
-    /// scheduler/binder/victim passes plus the greedy refinement pass
-    /// (see [`FlowSpec::default`]).
-    #[must_use]
-    pub fn new(dfg: &'a Dfg, library: &'a Library) -> Synthesizer<'a> {
-        Synthesizer::with_flow(dfg, library, &FlowSpec::default())
-            .expect("the default flow names built-in passes")
-    }
-
-    /// Creates a synthesizer composing the passes `spec` names.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesisError::UnknownPass`] when a slot names an id the
-    /// registry doesn't know.
-    pub fn with_flow(
-        dfg: &'a Dfg,
-        library: &'a Library,
-        spec: &FlowSpec,
-    ) -> Result<Synthesizer<'a>, SynthesisError> {
-        Synthesizer::with_flow_pooled(dfg, library, spec, None)
-    }
-
-    /// [`Synthesizer::with_flow`] borrowing its scratch arenas from a
-    /// session [`ScratchPool`] (and returning them when dropped), so
-    /// batch jobs and sweep points stop re-allocating per point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesisError::UnknownPass`] when a slot names an id the
-    /// registry doesn't know.
-    pub fn with_flow_pooled(
-        dfg: &'a Dfg,
-        library: &'a Library,
-        spec: &FlowSpec,
-        pool: Option<&'a ScratchPool>,
-    ) -> Result<Synthesizer<'a>, SynthesisError> {
-        let scratch = pool.map_or_else(SynthScratch::default, ScratchPool::acquire);
-        Ok(Synthesizer {
-            dfg,
-            library,
-            spec: spec.clone(),
-            flow: spec.resolve()?,
-            scratch: RefCell::new(scratch),
-            pool,
-            starts: None,
-            timers: PhaseTimers::default(),
-        })
-    }
-
     /// A synthesizer wired to everything a [`SynthRequest`] carries: the
     /// flow, the session scratch pool, and the session starts cache.
-    /// This is the constructor strategies use.
+    /// Strategies build every synthesizer through this.
     ///
     /// # Errors
     ///
@@ -135,17 +91,20 @@ impl<'a> Synthesizer<'a> {
     /// registry doesn't know.
     ///
     /// [`SynthRequest`]: crate::SynthRequest
-    pub fn for_request(
+    pub(crate) fn for_request(
         request: &crate::flow::SynthRequest<'a>,
     ) -> Result<Synthesizer<'a>, SynthesisError> {
-        let mut synth = Synthesizer::with_flow_pooled(
-            request.dfg,
-            request.library,
-            &request.flow,
-            request.scratch_pool(),
-        )?;
-        synth.starts = request.starts_cache();
-        Ok(synth)
+        let pool = request.scratch_pool();
+        Ok(Synthesizer {
+            dfg: request.dfg,
+            library: request.library,
+            spec: request.flow.clone(),
+            flow: request.flow.resolve()?,
+            scratch: RefCell::new(pool.map_or_else(SynthScratch::default, ScratchPool::acquire)),
+            pool,
+            starts: request.starts_cache(),
+            timers: PhaseTimers::default(),
+        })
     }
 
     /// The graph being synthesized.
@@ -167,7 +126,8 @@ impl<'a> Synthesizer<'a> {
     }
 
     /// Runs the synthesis flow, returning the most reliable design found
-    /// within `bounds` (the design half of [`synthesize_report`]).
+    /// within `bounds` together with the [`Diagnostics`] trace of the
+    /// search.
     ///
     /// With the `"off"` refine pass (i.e. [`FlowSpec::paper`]) this is
     /// the strict Figure-6 greedy. With the default `"greedy"` pass the
@@ -177,8 +137,6 @@ impl<'a> Synthesizer<'a> {
     /// recovers the mixed-version optima the one-pass greedy can miss
     /// (e.g. the paper's own Figure-7(b) FIR design).
     ///
-    /// [`synthesize_report`]: Synthesizer::synthesize_report
-    ///
     /// # Errors
     ///
     /// * [`SynthesisError::Library`] if the library lacks versions for a
@@ -186,17 +144,7 @@ impl<'a> Synthesizer<'a> {
     /// * [`SynthesisError::NoSolution`] if no version selection meets the
     ///   bounds;
     /// * [`SynthesisError::Schedule`] if the graph is malformed (cyclic).
-    pub fn synthesize(&self, bounds: Bounds) -> Result<Design, SynthesisError> {
-        self.synthesize_report(bounds).map(|r| r.design)
-    }
-
-    /// Runs the synthesis flow and returns the design together with the
-    /// [`Diagnostics`] trace of the search.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Synthesizer::synthesize`].
-    pub fn synthesize_report(&self, bounds: Bounds) -> Result<SynthReport, SynthesisError> {
+    pub(crate) fn synthesize_report(&self, bounds: Bounds) -> Result<SynthReport, SynthesisError> {
         let synth_span = span!(timed: "synth");
         let mut diagnostics = Diagnostics::default();
         let figure6 = {
@@ -620,7 +568,14 @@ impl<'a> Synthesizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{Ours, Strategy, SynthRequest};
     use rchls_dfg::{DfgBuilder, OpKind};
+
+    /// The `ours` design at `bounds` under the default flow.
+    fn ours(g: &Dfg, lib: &Library, bounds: Bounds) -> Result<Design, SynthesisError> {
+        Ours.run(&SynthRequest::new(g, lib, bounds))
+            .map(|r| r.design)
+    }
 
     fn figure4a() -> Dfg {
         DfgBuilder::new("figure4a")
@@ -641,9 +596,7 @@ mod tests {
         let lib = Library::table1();
         // adder1 everywhere: critical path 4 nodes x 2cc = 8; area 1 unit
         // when everything serializes.
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(20, 10))
-            .unwrap();
+        let d = ours(&g, &lib, Bounds::new(20, 10)).unwrap();
         assert!((d.reliability.value() - 0.999f64.powi(6)).abs() < 1e-9);
         assert!(d.latency <= 20);
         assert!(d.area <= 10);
@@ -658,9 +611,7 @@ mod tests {
         // EXPERIMENTS.md). The engine must find that optimum.
         let g = figure4a();
         let lib = Library::table1();
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(5, 4))
-            .unwrap();
+        let d = ours(&g, &lib, Bounds::new(5, 4)).unwrap();
         assert!(d.latency <= 5, "latency {}", d.latency);
         assert!(d.area <= 4, "area {}", d.area);
         let all_type2 = 0.969f64.powi(6);
@@ -677,9 +628,7 @@ mod tests {
         // Brent-Kung mix strictly beats any single-version design.
         let g = figure4a();
         let lib = Library::table1();
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(6, 4))
-            .unwrap();
+        let d = ours(&g, &lib, Bounds::new(6, 4)).unwrap();
         let all_type2 = 0.969f64.powi(6);
         assert!(
             d.reliability.value() > all_type2,
@@ -699,9 +648,7 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(4, 8))
-            .unwrap();
+        let d = ours(&g, &lib, Bounds::new(4, 8)).unwrap();
         assert!(d.latency <= 4);
         assert!(d.reliability.value() < 0.999f64.powi(3));
     }
@@ -710,9 +657,7 @@ mod tests {
     fn impossible_latency_reports_no_solution() {
         let g = figure4a(); // depth 4, so even all-1cc versions need 4 cycles
         let lib = Library::table1();
-        let err = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(3, 99))
-            .unwrap_err();
+        let err = ours(&g, &lib, Bounds::new(3, 99)).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }), "{err}");
     }
 
@@ -723,9 +668,7 @@ mod tests {
         // fine... so force both tight: area 1 is below any multiplier.
         let g = DfgBuilder::new("mul").op("m", OpKind::Mul).build().unwrap();
         let lib = Library::table1();
-        let err = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(10, 1))
-            .unwrap_err();
+        let err = ours(&g, &lib, Bounds::new(10, 1)).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }), "{err}");
     }
 
@@ -735,7 +678,7 @@ mod tests {
         let lib = Library::table1();
         for latency in 4..=9 {
             for area in 1..=8 {
-                if let Ok(d) = Synthesizer::new(&g, &lib).synthesize(Bounds::new(latency, area)) {
+                if let Ok(d) = ours(&g, &lib, Bounds::new(latency, area)) {
                     assert!(d.latency <= latency, "L {} > {latency}", d.latency);
                     assert!(d.area <= area, "A {} > {area}", d.area);
                     d.binding
@@ -751,7 +694,7 @@ mod tests {
         let lib = Library::table1();
         let mut prev = 0.0f64;
         for latency in 4..=10 {
-            if let Ok(d) = Synthesizer::new(&g, &lib).synthesize(Bounds::new(latency, 4)) {
+            if let Ok(d) = ours(&g, &lib, Bounds::new(latency, 4)) {
                 assert!(
                     d.reliability.value() + 1e-9 >= prev,
                     "reliability dropped from {prev} to {} at Ld={latency}",
@@ -774,10 +717,10 @@ mod tests {
                         .with_scheduler(scheduler)
                         .with_binder(binder)
                         .with_victim(victim);
-                    let d = Synthesizer::with_flow(&g, &lib, &flow)
+                    let d = Ours
+                        .run(&SynthRequest::new(&g, &lib, Bounds::new(6, 4)).with_flow(flow))
                         .unwrap()
-                        .synthesize(Bounds::new(6, 4))
-                        .unwrap();
+                        .design;
                     assert!(d.latency <= 6);
                     assert!(d.area <= 4);
                 }
@@ -789,9 +732,9 @@ mod tests {
     fn unknown_pass_id_is_rejected_at_construction() {
         let g = figure4a();
         let lib = Library::table1();
-        let err = Synthesizer::with_flow(&g, &lib, &FlowSpec::default().with_binder("magic"))
-            .map(|_| ())
-            .unwrap_err();
+        let request = SynthRequest::new(&g, &lib, Bounds::new(6, 4))
+            .with_flow(FlowSpec::default().with_binder("magic"));
+        let err = Synthesizer::for_request(&request).map(|_| ()).unwrap_err();
         assert!(matches!(err, SynthesisError::UnknownPass { .. }), "{err}");
     }
 
@@ -801,16 +744,15 @@ mod tests {
         // records its portfolio and upgrade activity.
         let g = figure4a();
         let lib = Library::table1();
-        let report = Synthesizer::new(&g, &lib)
-            .synthesize_report(Bounds::new(5, 4))
+        let report = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(5, 4)))
             .unwrap();
         assert!(report.diagnostics.victim_moves > 0);
         assert!(report.diagnostics.loop_iterations > 0);
         assert!(!report.diagnostics.candidate_pool_sizes.is_empty());
         // The strict paper flow never refines.
-        let paper = Synthesizer::with_flow(&g, &lib, &FlowSpec::paper())
-            .unwrap()
-            .synthesize_report(Bounds::new(5, 4))
+        let paper = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(5, 4)).with_flow(FlowSpec::paper()))
             .unwrap();
         assert_eq!(paper.diagnostics.refine_upgrades, 0);
     }

@@ -33,14 +33,17 @@ use rchls_reslib::Library;
 /// # Examples
 ///
 /// ```
-/// use rchls_core::{monte_carlo_reliability, Bounds, Synthesizer};
+/// use rchls_core::{monte_carlo_reliability, Engine, SynthJob};
 /// use rchls_reslib::Library;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let dfg = rchls_workloads::diffeq();
-/// let library = Library::table1();
-/// let design = Synthesizer::new(&dfg, &library).synthesize(Bounds::new(6, 11))?;
-/// let empirical = monte_carlo_reliability(&design, &dfg, &library, 20_000, 42);
+/// let engine = Engine::new(Library::table1());
+/// // The combined scheme replicates units; the simulation votes over
+/// // every replica.
+/// let job = SynthJob::new("builtin:diffeq", 6, 11).with_strategy("combined");
+/// let design = engine.synth(&job)?.design;
+/// let dfg = engine.workload(&job.workload)?.dfg;
+/// let empirical = monte_carlo_reliability(&design, &dfg, engine.library(), 20_000, 42);
 /// assert!((empirical - design.reliability.value()).abs() < 0.02);
 /// # Ok(())
 /// # }
@@ -92,17 +95,18 @@ pub fn monte_carlo_reliability(
 mod tests {
     use super::*;
     use crate::bounds::Bounds;
+    use crate::flow::{Ours, Strategy, SynthRequest};
     use crate::redundancy::add_redundancy;
-    use crate::synth::Synthesizer;
     use rchls_dfg::{DfgBuilder, OpKind};
 
     #[test]
     fn empirical_matches_analytic_without_redundancy() {
         let g = rchls_workloads::fir16();
         let lib = Library::table1();
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(13, 8))
-            .unwrap();
+        let d = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(13, 8)))
+            .unwrap()
+            .design;
         let emp = monte_carlo_reliability(&d, &g, &lib, 50_000, 7);
         assert!(
             (emp - d.reliability.value()).abs() < 0.01,
@@ -120,9 +124,10 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let mut d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(8, 2))
-            .unwrap();
+        let mut d = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(8, 2)))
+            .unwrap()
+            .design;
         add_redundancy(&mut d, &g, &lib, 6);
         assert!(d.redundant_instance_count() >= 1);
         let emp = monte_carlo_reliability(&d, &g, &lib, 50_000, 11);
@@ -137,9 +142,10 @@ mod tests {
     fn deterministic_per_seed() {
         let g = rchls_workloads::diffeq();
         let lib = Library::table1();
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize(Bounds::new(6, 11))
-            .unwrap();
+        let d = Ours
+            .run(&SynthRequest::new(&g, &lib, Bounds::new(6, 11)))
+            .unwrap()
+            .design;
         let a = monte_carlo_reliability(&d, &g, &lib, 5_000, 3);
         let b = monte_carlo_reliability(&d, &g, &lib, 5_000, 3);
         assert_eq!(a, b);

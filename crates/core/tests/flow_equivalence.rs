@@ -1,14 +1,16 @@
 //! Golden equivalence: every built-in strategy and pass combination must
-//! produce **byte-identical** designs through the trait-based flow API
-//! (`Strategy::run` over a `SynthRequest`) and through the pre-refactor
-//! entry points (`Synthesizer::synthesize`, `synthesize_nmr_baseline`,
-//! `synthesize_combined`, `synthesize_pipelined`), pinned on the
-//! deterministic sweep fixtures.
+//! produce **byte-identical** designs through the session front door
+//! (`Engine::synth_point`, cached) and through the uncached primitive
+//! (`Strategy::run` over a `SynthRequest`), pinned on the deterministic
+//! sweep fixtures. Each test runs every flow through **one shared**
+//! engine, so the comparison also proves that cache keys keep flows,
+//! strategies and intervals apart. (Test names stay stable across API
+//! changes so results can be tracked over time; in them, a strategy's
+//! "legacy entry point" is its uncached `Strategy::run`.)
 
 use rchls_core::flow::Pipelined;
 use rchls_core::{
-    flow, synthesize_combined, synthesize_nmr_baseline, Bounds, Design, FlowSpec, RedundancyModel,
-    Strategy, SynthRequest, Synthesizer,
+    flow, Bounds, Design, Engine, FlowSpec, RedundancyModel, Strategy, SynthReport, SynthRequest,
 };
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
@@ -34,6 +36,15 @@ fn bytes(design: &Design) -> String {
     serde_json::to_string(design).expect("designs serialize")
 }
 
+/// Design plus wall-time-scrubbed diagnostics, rendered for comparison.
+fn report_bytes(r: &SynthReport) -> String {
+    serde_json::to_string(&SynthReport {
+        design: r.design.clone(),
+        diagnostics: r.diagnostics.scrubbed(),
+    })
+    .expect("reports serialize")
+}
+
 fn run_trait(
     strategy: &dyn Strategy,
     dfg: &Dfg,
@@ -47,34 +58,90 @@ fn run_trait(
         .map(|r| r.design)
 }
 
-#[test]
-fn ours_matches_synthesizer_for_every_pass_combination() {
-    let lib = Library::table1();
-    let ours = flow::strategy("ours").unwrap();
-    for (dfg, points) in fixtures() {
-        for scheduler in ["density", "force-directed"] {
-            for binder in ["left-edge", "coloring"] {
-                for victim in ["max-delay", "min-reliability-loss"] {
-                    for refine in ["greedy", "off"] {
-                        let spec = FlowSpec::default()
+/// `strategy` at one point through `engine`'s session caches.
+fn run_engine(
+    engine: &Engine,
+    strategy: &dyn Strategy,
+    dfg: &Dfg,
+    bounds: Bounds,
+    flow: &FlowSpec,
+) -> Option<SynthReport> {
+    engine.synth_point(
+        dfg,
+        None,
+        bounds,
+        flow,
+        RedundancyModel::default(),
+        strategy,
+    )
+}
+
+/// Every scheduler × binder × victim × refine combination of the
+/// built-in (optimized) passes.
+fn all_combos() -> Vec<FlowSpec> {
+    let mut combos = Vec::new();
+    for scheduler in ["density", "force-directed"] {
+        for binder in ["left-edge", "coloring"] {
+            for victim in ["max-delay", "min-reliability-loss"] {
+                for refine in ["greedy", "off"] {
+                    combos.push(
+                        FlowSpec::default()
                             .with_scheduler(scheduler)
                             .with_binder(binder)
                             .with_victim(victim)
-                            .with_refine(refine);
-                        for &bounds in &points {
-                            let legacy = Synthesizer::with_flow(&dfg, &lib, &spec)
-                                .unwrap()
-                                .synthesize(bounds)
-                                .ok();
-                            let trait_api = run_trait(&*ours, &dfg, &lib, bounds, &spec);
-                            assert_eq!(
-                                legacy.as_ref().map(bytes),
-                                trait_api.as_ref().map(bytes),
-                                "{} {scheduler}/{binder}/{victim}/{refine} at {bounds}",
-                                dfg.name()
-                            );
-                        }
-                    }
+                            .with_refine(refine),
+                    );
+                }
+            }
+        }
+    }
+    combos
+}
+
+#[test]
+fn ours_matches_synthesizer_for_every_pass_combination() {
+    let lib = Library::table1();
+    let engine = Engine::new(lib.clone());
+    let ours = flow::strategy("ours").unwrap();
+    let combos = all_combos();
+    assert_eq!(combos.len(), 16);
+    for (dfg, points) in fixtures() {
+        for spec in &combos {
+            for &bounds in &points {
+                let cached = run_engine(&engine, &*ours, &dfg, bounds, spec);
+                let uncached = run_trait(&*ours, &dfg, &lib, bounds, spec);
+                assert_eq!(
+                    cached.as_ref().map(|r| bytes(&r.design)),
+                    uncached.as_ref().map(bytes),
+                    "{} {spec:?} at {bounds}",
+                    dfg.name()
+                );
+            }
+        }
+    }
+    // Every (graph, flow, bound) triple was its own cache point.
+    let points: usize = fixtures().iter().map(|(_, p)| p.len()).sum();
+    assert_eq!(engine.memoized_points(), points * combos.len());
+}
+
+#[test]
+fn baseline_and_combined_match_their_legacy_entry_points() {
+    let lib = Library::table1();
+    let engine = Engine::new(lib.clone());
+    let combos = all_combos();
+    for id in ["baseline", "combined"] {
+        let strategy = flow::strategy(id).unwrap();
+        for (dfg, points) in fixtures() {
+            for spec in &combos {
+                for &bounds in &points {
+                    let cached = run_engine(&engine, &*strategy, &dfg, bounds, spec);
+                    let uncached = run_trait(&*strategy, &dfg, &lib, bounds, spec);
+                    assert_eq!(
+                        cached.as_ref().map(|r| bytes(&r.design)),
+                        uncached.as_ref().map(bytes),
+                        "{id} {} {spec:?} at {bounds}",
+                        dfg.name()
+                    );
                 }
             }
         }
@@ -82,52 +149,24 @@ fn ours_matches_synthesizer_for_every_pass_combination() {
 }
 
 #[test]
-fn baseline_and_combined_match_their_legacy_entry_points() {
-    let lib = Library::table1();
-    let model = RedundancyModel::default();
-    let spec = FlowSpec::default();
-    let baseline = flow::strategy("baseline").unwrap();
-    let combined = flow::strategy("combined").unwrap();
-    for (dfg, points) in fixtures() {
-        for &bounds in &points {
-            let legacy_base = synthesize_nmr_baseline(&dfg, &lib, bounds, model).ok();
-            let trait_base = run_trait(&*baseline, &dfg, &lib, bounds, &spec);
-            assert_eq!(
-                legacy_base.as_ref().map(bytes),
-                trait_base.as_ref().map(bytes),
-                "baseline at {bounds} on {}",
-                dfg.name()
-            );
-            let legacy_comb = synthesize_combined(&dfg, &lib, bounds, &spec, model).ok();
-            let trait_comb = run_trait(&*combined, &dfg, &lib, bounds, &spec);
-            assert_eq!(
-                legacy_comb.as_ref().map(bytes),
-                trait_comb.as_ref().map(bytes),
-                "combined at {bounds} on {}",
-                dfg.name()
-            );
-        }
-    }
-}
-
-#[test]
 fn pipelined_matches_its_legacy_entry_point() {
     let lib = Library::table1();
-    let spec = FlowSpec::default();
+    let engine = Engine::new(lib.clone());
+    let combos = all_combos();
     for (dfg, points) in fixtures() {
-        for &bounds in &points {
-            for ii in [2u32, bounds.latency] {
-                let legacy = Synthesizer::new(&dfg, &lib)
-                    .synthesize_pipelined(bounds, ii)
-                    .ok();
-                let strategy = Pipelined::with_ii(ii);
-                let trait_api = run_trait(&strategy, &dfg, &lib, bounds, &spec);
-                assert_eq!(
-                    legacy.as_ref().map(bytes),
-                    trait_api.as_ref().map(bytes),
-                    "pipelined II={ii} at {bounds} on {}",
-                    dfg.name()
-                );
+        for spec in &combos {
+            for &bounds in &points {
+                for ii in [2u32, bounds.latency] {
+                    let strategy = Pipelined::with_ii(ii);
+                    let cached = run_engine(&engine, &strategy, &dfg, bounds, spec);
+                    let uncached = run_trait(&strategy, &dfg, &lib, bounds, spec);
+                    assert_eq!(
+                        cached.as_ref().map(|r| bytes(&r.design)),
+                        uncached.as_ref().map(bytes),
+                        "pipelined II={ii} {} {spec:?} at {bounds}",
+                        dfg.name()
+                    );
+                }
             }
         }
     }
@@ -168,52 +207,26 @@ fn redundancy_is_deterministic_and_dominates_baseline() {
 #[test]
 fn optimized_and_reference_kernels_agree_across_all_combos_and_strategies() {
     let lib = Library::table1();
-    let report_bytes = |r: &rchls_core::SynthReport| {
-        serde_json::to_string(&rchls_core::SynthReport {
-            design: r.design.clone(),
-            diagnostics: r.diagnostics.scrubbed(),
-        })
-        .expect("reports serialize")
-    };
     for (dfg, points) in fixtures() {
-        for scheduler in ["density", "force-directed"] {
-            for binder in ["left-edge", "coloring"] {
-                for victim in ["max-delay", "min-reliability-loss"] {
-                    for refine in ["greedy", "off"] {
-                        let optimized = FlowSpec::default()
-                            .with_scheduler(scheduler)
-                            .with_binder(binder)
-                            .with_victim(victim)
-                            .with_refine(refine);
-                        let reference = optimized
-                            .clone()
-                            .with_scheduler(format!("{scheduler}-reference"))
-                            .with_binder(format!("{binder}-reference"));
-                        for strategy_id in ["ours", "baseline"] {
-                            let strategy = flow::strategy(strategy_id).unwrap();
-                            for &bounds in &points {
-                                let fast = strategy
-                                    .run(
-                                        &SynthRequest::new(&dfg, &lib, bounds)
-                                            .with_flow(optimized.clone()),
-                                    )
-                                    .ok();
-                                let slow = strategy
-                                    .run(
-                                        &SynthRequest::new(&dfg, &lib, bounds)
-                                            .with_flow(reference.clone()),
-                                    )
-                                    .ok();
-                                assert_eq!(
-                                    fast.as_ref().map(&report_bytes),
-                                    slow.as_ref().map(&report_bytes),
-                                    "{} {strategy_id} {scheduler}/{binder}/{victim}/{refine} \
-                                     at {bounds}",
-                                    dfg.name()
-                                );
-                            }
-                        }
-                    }
+        for optimized in all_combos() {
+            let reference = optimized
+                .clone()
+                .with_scheduler(format!("{}-reference", optimized.scheduler))
+                .with_binder(format!("{}-reference", optimized.binder));
+            for strategy_id in ["ours", "baseline"] {
+                let strategy = flow::strategy(strategy_id).unwrap();
+                for &bounds in &points {
+                    let run = |flow: &FlowSpec| {
+                        strategy
+                            .run(&SynthRequest::new(&dfg, &lib, bounds).with_flow(flow.clone()))
+                            .ok()
+                    };
+                    assert_eq!(
+                        run(&optimized).as_ref().map(report_bytes),
+                        run(&reference).as_ref().map(report_bytes),
+                        "{} {strategy_id} {optimized:?} at {bounds}",
+                        dfg.name()
+                    );
                 }
             }
         }
@@ -224,60 +237,44 @@ fn optimized_and_reference_kernels_agree_across_all_combos_and_strategies() {
 /// combination and the three refining strategies, swapping the
 /// delta-evaluated `greedy` pass for its retained full-recompute
 /// `greedy-reference` produces byte-identical `SynthReport`s (designs
-/// and scrubbed diagnostics). The fast side runs with a session
-/// `ScratchPool` *and* `StartsCache` attached (shared across every
-/// combo, so pools intern and replay across flows) while the reference
-/// side recomputes everything fresh — proving the O(1) latency test,
-/// the area lower-bound screen, the cached reliability product, and the
-/// interned start pools change nothing but wall time.
+/// and scrubbed diagnostics). The fast side runs on one shared `Engine`
+/// (its scratch pool and starts cache span every combo, so pools intern
+/// and replay across flows) while the reference side recomputes
+/// everything fresh through `Strategy::run` — proving the O(1) latency
+/// test, the area lower-bound screen, the cached reliability product,
+/// and the interned start pools change nothing but wall time.
 #[test]
 fn greedy_and_greedy_reference_agree_across_combos_and_strategies() {
     let lib = Library::table1();
-    let scratch = rchls_core::ScratchPool::new();
-    let starts = rchls_core::engine::StartsCache::new();
-    let report_bytes = |r: &rchls_core::SynthReport| {
-        serde_json::to_string(&rchls_core::SynthReport {
-            design: r.design.clone(),
-            diagnostics: r.diagnostics.scrubbed(),
-        })
-        .expect("reports serialize")
-    };
+    let engine = Engine::new(lib.clone());
     for (dfg, points) in fixtures() {
-        for scheduler in ["density", "force-directed"] {
-            for binder in ["left-edge", "coloring"] {
-                for victim in ["max-delay", "min-reliability-loss"] {
-                    let fast_flow = FlowSpec::default()
-                        .with_scheduler(scheduler)
-                        .with_binder(binder)
-                        .with_victim(victim);
-                    let reference_flow = fast_flow.clone().with_refine("greedy-reference");
-                    for strategy_id in ["ours", "baseline", "combined"] {
-                        let strategy = flow::strategy(strategy_id).unwrap();
-                        for &bounds in &points {
-                            let fast = strategy
-                                .run(
-                                    &SynthRequest::new(&dfg, &lib, bounds)
-                                        .with_flow(fast_flow.clone())
-                                        .with_scratch_pool(&scratch)
-                                        .with_starts_cache(&starts),
-                                )
-                                .ok();
-                            let slow = strategy
-                                .run(
-                                    &SynthRequest::new(&dfg, &lib, bounds)
-                                        .with_flow(reference_flow.clone()),
-                                )
-                                .ok();
-                            assert_eq!(
-                                fast.as_ref().map(&report_bytes),
-                                slow.as_ref().map(&report_bytes),
-                                "{} {strategy_id} {scheduler}/{binder}/{victim} at {bounds}",
-                                dfg.name()
-                            );
-                        }
-                    }
+        for fast_flow in all_combos()
+            .into_iter()
+            .filter(|flow| flow.refine == "greedy")
+        {
+            let reference_flow = fast_flow.clone().with_refine("greedy-reference");
+            for strategy_id in ["ours", "baseline", "combined"] {
+                let strategy = flow::strategy(strategy_id).unwrap();
+                for &bounds in &points {
+                    let fast = run_engine(&engine, &*strategy, &dfg, bounds, &fast_flow);
+                    let slow = strategy
+                        .run(
+                            &SynthRequest::new(&dfg, &lib, bounds)
+                                .with_flow(reference_flow.clone()),
+                        )
+                        .ok();
+                    assert_eq!(
+                        fast.as_ref().map(report_bytes),
+                        slow.as_ref().map(report_bytes),
+                        "{} {strategy_id} {fast_flow:?} at {bounds}",
+                        dfg.name()
+                    );
                 }
             }
         }
     }
+    assert!(
+        engine.starts_pools() > 0,
+        "the fast side interned start pools"
+    );
 }

@@ -4,12 +4,22 @@
 //! (greedy + uniform starts + allocation search + refinement).
 
 use proptest::prelude::*;
-use rchls_core::{
-    monte_carlo_reliability, synthesize_combined, synthesize_nmr_baseline, Bounds, FlowSpec,
-    RedundancyModel, Synthesizer,
-};
+use rchls_core::flow::{Baseline, Combined, Ours};
+use rchls_core::{monte_carlo_reliability, Bounds, Design, SynthRequest, SynthesisError};
 use rchls_dfg::{Dfg, NodeId, OpKind};
 use rchls_reslib::Library;
+
+/// `strategy`'s design at `bounds` under the default flow and model.
+fn design(
+    strategy: &dyn rchls_core::Strategy,
+    g: &Dfg,
+    lib: &Library,
+    bounds: Bounds,
+) -> Result<Design, SynthesisError> {
+    strategy
+        .run(&SynthRequest::new(g, lib, bounds))
+        .map(|r| r.design)
+}
 
 fn small_dag() -> impl Strategy<Value = Dfg> {
     (3usize..10).prop_flat_map(|n| {
@@ -45,7 +55,7 @@ proptest! {
             rchls_sched::asap(&g, &fast.delays(&g, &lib)).unwrap().latency()
         };
         let bounds = Bounds::new(min + l_extra, area);
-        let result = Synthesizer::new(&g, &lib).synthesize(bounds);
+        let result = design(&Ours, &g, &lib, bounds);
         if let Ok(d) = result {
             prop_assert!(d.latency <= bounds.latency);
             prop_assert!(d.area <= bounds.area);
@@ -62,9 +72,9 @@ proptest! {
     fn combined_dominates_both_strategies(g in small_dag()) {
         let lib = Library::table1();
         let bounds = Bounds::new(3 * g.node_count() as u32, 16);
-        let ours = Synthesizer::new(&g, &lib).synthesize(bounds);
-        let base = synthesize_nmr_baseline(&g, &lib, bounds, RedundancyModel::default());
-        let comb = synthesize_combined(&g, &lib, bounds, &FlowSpec::default(), RedundancyModel::default());
+        let ours = design(&Ours, &g, &lib, bounds);
+        let base = design(&Baseline, &g, &lib, bounds);
+        let comb = design(&Combined, &g, &lib, bounds);
         if let Ok(c) = &comb {
             prop_assert!(c.latency <= bounds.latency && c.area <= bounds.area);
             if let Ok(o) = &ours {
@@ -83,7 +93,7 @@ proptest! {
     fn monte_carlo_agrees_with_analytic(g in small_dag(), seed in 0u64..1000) {
         let lib = Library::table1();
         let bounds = Bounds::new(3 * g.node_count() as u32, 12);
-        let result = Synthesizer::new(&g, &lib).synthesize(bounds);
+        let result = design(&Ours, &g, &lib, bounds);
         if let Ok(d) = result {
             let emp = monte_carlo_reliability(&d, &g, &lib, 20_000, seed);
             prop_assert!(

@@ -336,14 +336,13 @@ pub(crate) fn synthesize_points(
         })
         .collect();
     let outcomes = engine.executor().run(&jobs, |&(bounds, strategy)| {
-        engine.cache().synthesize_with_workload(
+        engine.synth_point(
             &task.dfg,
-            engine.library(),
+            task.workload.as_deref(),
             bounds,
             flow,
             model,
             &**strategy,
-            task.workload.as_deref(),
         )
     });
 

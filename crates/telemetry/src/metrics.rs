@@ -169,29 +169,30 @@ impl Histogram {
 
     fn to_value(&self) -> Value {
         let key = |s: &str| Value::Str(s.to_owned());
+        // Each bucket is loaded once and `count` is their sum, so the
+        // document stays self-consistent while other threads record.
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|n| n.load(Ordering::Relaxed))
+            .collect();
+        let overflow = self.overflow.load(Ordering::Relaxed);
+        let count = counts.iter().sum::<u64>() + overflow;
         let buckets: Vec<Value> = self
             .bounds
             .iter()
-            .zip(&self.buckets)
-            .map(|(le, n)| {
-                Value::Seq(vec![
-                    Value::UInt(*le),
-                    Value::UInt(n.load(Ordering::Relaxed)),
-                ])
-            })
+            .zip(&counts)
+            .map(|(le, n)| Value::Seq(vec![Value::UInt(*le), Value::UInt(*n)]))
             .collect();
         Value::Map(vec![
-            (key("count"), Value::UInt(self.count())),
+            (key("count"), Value::UInt(count)),
             (key("sum"), Value::UInt(self.sum())),
             (key("max"), Value::UInt(self.max())),
             (key("p50"), Value::UInt(self.percentile(0.50))),
             (key("p95"), Value::UInt(self.percentile(0.95))),
             (key("p99"), Value::UInt(self.percentile(0.99))),
             (key("buckets"), Value::Seq(buckets)),
-            (
-                key("overflow"),
-                Value::UInt(self.overflow.load(Ordering::Relaxed)),
-            ),
+            (key("overflow"), Value::UInt(overflow)),
         ])
     }
 }
@@ -482,6 +483,29 @@ mod tests {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("lat", TIME_BUCKETS_MICROS);
         assert_eq!(h.percentile(0.95), 0);
+    }
+
+    #[test]
+    fn snapshots_taken_while_recording_validate() {
+        // A snapshot racing a recorder must never see a bucket without
+        // its count (or the reverse).
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("m.lat", &[10, 100]);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let torn = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(5);
+                    h.record(500);
+                }
+            });
+            let torn = (0..500)
+                .filter(|_| validate_snapshot(&reg.snapshot()).is_err())
+                .count();
+            stop.store(true, Ordering::Relaxed);
+            torn
+        });
+        assert_eq!(torn, 0, "snapshots must be self-consistent");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! Run with `cargo run --release --example custom_library`.
 
-use rc_hls::core::{Bounds, Synthesizer};
+use rc_hls::core::flow::Ours;
+use rc_hls::core::{Bounds, Strategy, SynthRequest};
 use rc_hls::dfg::OpClass;
 use rc_hls::netlist::generators;
 use rc_hls::relmath::Reliability;
@@ -45,7 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 4: synthesize a workload against the custom library.
     let dfg = rc_hls::workloads::ar_lattice();
-    let design = Synthesizer::new(&dfg, &library).synthesize(Bounds::new(24, 14))?;
+    let design = Ours
+        .run(&SynthRequest::new(&dfg, &library, Bounds::new(24, 14)))?
+        .design;
     println!("\nAR-lattice design under Ld=24, Ad=14:");
     println!(
         "latency={} area={} reliability={}",

@@ -3,15 +3,17 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use rc_hls::core::{Bounds, Synthesizer};
+use rc_hls::core::{Engine, SynthJob};
 use rc_hls::reslib::Library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // A synthesis session over the paper's Table-1 library: three
+    // adders, two multipliers, each a different (area, delay,
+    // reliability) trade-off.
+    let engine = Engine::new(Library::table1());
+    let library = engine.library();
     // The 16-point symmetric FIR filter: 15 additions, 8 multiplications.
-    let dfg = rc_hls::workloads::fir16();
-    // The paper's Table-1 library: three adders, two multipliers, each a
-    // different (area, delay, reliability) trade-off.
-    let library = Library::table1();
+    let dfg = engine.workload("builtin:fir16")?.dfg;
 
     println!(
         "benchmark: {} ({} operations)",
@@ -24,20 +26,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Ask for the most reliable design within 12 cycles and 8 area units.
-    let bounds = Bounds::new(12, 8);
-    let design = Synthesizer::new(&dfg, &library).synthesize(bounds)?;
+    let job = SynthJob::new("builtin:fir16", 12, 8);
+    let design = engine.synth(&job)?.design;
 
-    println!("\nsynthesized under {bounds}:");
-    println!("{}", design.render(&dfg, &library));
+    println!("\nsynthesized under {}:", job.bounds());
+    println!("{}", design.render(&dfg, library));
 
     // Compare with the single-version alternative a conventional flow
     // would pick (everything on the fast type-2 units).
-    let single = rc_hls::core::synthesize_nmr_baseline(
-        &dfg,
-        &library,
-        bounds,
-        rc_hls::core::RedundancyModel::default(),
-    )?;
+    let single = engine.synth(&job.with_strategy("baseline"))?.design;
     println!(
         "single-version + redundancy baseline reliability: {}",
         single.reliability

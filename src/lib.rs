@@ -17,13 +17,14 @@
 //!   scheduling;
 //! * [`bind`] — version assignments, left-edge and coloring binders;
 //! * [`core`] — the Figure-6 synthesis algorithm, the NMR baseline, the
-//!   combined approach, the dual-objective extensions,
-//!   the trait-based flow/strategy API (`core::flow`): pluggable
-//!   scheduler/binder/victim/refine passes and whole strategies, named by
-//!   registry id, returning diagnostics-carrying synthesis reports — and
-//!   the session-oriented batch engine (`core::engine`): interned
-//!   workloads and libraries, a fingerprint synthesis cache, and
-//!   deterministic parallel `synth_batch`;
+//!   combined approach, the dual-objective extensions, and the two ways
+//!   to run them: the trait-based flow/strategy API (`core::flow`) —
+//!   pluggable scheduler/binder/victim/refine passes and whole
+//!   strategies, named by registry id, whose uncached `Strategy::run`
+//!   returns a diagnostics-carrying synthesis report — and the session
+//!   (`core::Engine`): interned workloads and library, a fingerprint
+//!   synthesis cache over an optional on-disk store, and deterministic
+//!   parallel batches;
 //! * [`explorer`] — design-space exploration on the session engine:
 //!   the Table-2 sweep over workload specs (sharded and resumable
 //!   variants included) and the Pareto archive;
@@ -34,14 +35,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use rc_hls::core::{Bounds, Synthesizer};
+//! use rc_hls::core::{Engine, SynthJob};
 //! use rc_hls::reslib::Library;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let dfg = rc_hls::workloads::fir16();
-//! let library = Library::table1();
-//! let design = Synthesizer::new(&dfg, &library).synthesize(Bounds::new(12, 8))?;
-//! println!("{}", design.render(&dfg, &library));
+//! let engine = Engine::new(Library::table1());
+//! let design = engine.synth(&SynthJob::new("builtin:fir16", 12, 8))?.design;
+//! let dfg = engine.workload("builtin:fir16")?.dfg;
+//! println!("{}", design.render(&dfg, engine.library()));
 //! assert!(design.latency <= 12 && design.area <= 8);
 //! # Ok(())
 //! # }

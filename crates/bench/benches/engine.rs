@@ -2,9 +2,8 @@
 //! families at increasing sizes and worker counts, workload-spec
 //! resolution/interning cost, and the warm-cache fast path.
 //!
-//! The byte-level scaling summary lives in the `bench_engine` binary
-//! (`BENCH_engine.json`); these are the statistically sampled
-//! micro-curves.
+//! End-to-end numbers come from the `perfbench` harness (see
+//! `BENCHMARK.json`); these are the statistically sampled micro-curves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rchls_core::{Engine, SynthJob};

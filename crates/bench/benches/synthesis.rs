@@ -1,6 +1,7 @@
 //! Synthesis-engine performance: end-to-end runtime per benchmark and
-//! strategy, plus scaling on random layered DFGs, plus the DESIGN.md
-//! ablations (strict Figure-6 vs portfolio, victim policy).
+//! strategy, plus scaling on random layered DFGs, plus the ablations the
+//! `ablation` binary tabulates (strict Figure-6 vs portfolio, victim
+//! policy).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rchls_core::flow::{Baseline, Combined, Ours};

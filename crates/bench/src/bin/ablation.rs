@@ -1,6 +1,6 @@
-//! Quality ablation for the design choices DESIGN.md calls out: how much
+//! Quality ablation for the engine's design choices: how much
 //! reliability each engine ingredient buys, per benchmark, at the
-//! tightest Table-2 bounds.
+//! tightest Table-2 bounds (`rchls_bench::table2_grid`).
 //!
 //! Rows: strict Figure-6 greedy (the paper's pseudo-code), + portfolio
 //! starts & refinement (the default engine), scheduler and binder

@@ -39,9 +39,9 @@ fn main() {
     println!(
         "paper reports 0.90713 with one adder1 + one adder2 (area 3); that\n\
          allocation cannot execute the graph's D/E pair concurrently, so the\n\
-         consistent optimum at (5, 4) is the all-type-2 design — see\n\
-         EXPERIMENTS.md. Loosening the latency bound by one cycle lets the\n\
-         mixed design win, which is the paper's actual point:"
+         consistent optimum at (5, 4) is the all-type-2 design — see the\n\
+         docs of rchls_bench::table2_grid. Loosening the latency bound by one\n\
+         cycle lets the mixed design win, which is the paper's actual point:"
     );
     let relaxed = Ours
         .run(&SynthRequest::new(&dfg, &library, Bounds::new(6, 4)))

@@ -3,7 +3,7 @@
 //! approach, under the tightest consistent bounds.
 //!
 //! The paper uses Ld = 11, Ad = 8 — infeasible under its own Table-1
-//! areas (see EXPERIMENTS.md) — so this binary reports the same
+//! areas (see `rchls_bench::table2_grid`) — so this binary reports the same
 //! comparison at the shifted knee Ld = 12, Ad = 8.
 
 use rchls_bind::{bind_left_edge, Assignment};

@@ -5,7 +5,7 @@
 //! so an unarmed process pays exactly one `AtomicBool` load per guarded
 //! site — cheap enough that injection points live permanently in
 //! production code paths (store I/O, serve connections, engine spills)
-//! without moving the perf gate.
+//! without moving the benchmark (`perfbench/`).
 //!
 //! Call sites declare named points with [`faultpoint!`]:
 //!

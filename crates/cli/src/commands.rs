@@ -81,7 +81,7 @@ pub fn help() -> String {
      twice (cold, then warm) and prints the process metrics snapshot —\n\
      cache hit rates and phase latency percentiles — as one\n\
      deterministic-ordered JSON document; `rchls metrics --validate FILE`\n\
-     schema-checks an exported snapshot (CI runs it on bench_engine's).\n\
+     schema-checks an exported snapshot, bare or under a \"metrics\" key.\n\
      \n\
      serving: `rchls serve` runs the session engine as a daemon speaking\n\
      line-delimited JSON over TCP (methods: ping, synth, batch, sweep,\n\

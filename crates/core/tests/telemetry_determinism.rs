@@ -10,13 +10,15 @@
 //!   (cold run all misses, warm re-run all hits);
 //! * byte-identical batch documents with span sinks installed vs none;
 //! * a structurally valid Chrome trace whose sched/bind/refine spans
-//!   nest inside their enclosing `synth` span by timestamp containment.
+//!   nest inside their enclosing `synth` span by timestamp containment;
+//! * exact work counts (jobs, feasible, scheduler and binder calls) over
+//!   a pinned job set, which are the same on every machine.
 //!
 //! The sink registry and metrics registry are process-global, and the
 //! tests in this binary share one process — every test serializes on
 //! [`telemetry_lock`] so resets and sink installs can't interleave.
 
-use rchls_core::{Engine, SynthJob};
+use rchls_core::{Engine, EngineError, SynthJob};
 use rchls_reslib::Library;
 use rchls_telemetry::{
     metrics, register_sink, trace_event_names, unregister_sink, AggregatorSink, ChromeTraceSink,
@@ -242,4 +244,46 @@ fn trace_nests_phase_spans_within_synth() {
             "no {phase:?} span nested inside the synth span"
         );
     }
+}
+
+/// The pinned work set: `random:64x8` at two seeds over a tight-to-loose
+/// bound grid, under the default flow's two heaviest strategies.
+fn pinned_work_jobs() -> Vec<SynthJob> {
+    let mut jobs = Vec::new();
+    for seed in 0..2u64 {
+        let spec = format!("random:64x8@{seed}");
+        for (latency, area) in [(10, 24), (10, 32), (14, 24), (14, 32), (20, 32), (20, 48)] {
+            for strategy in ["ours", "combined"] {
+                jobs.push(SynthJob::new(&spec, latency, area).with_strategy(strategy));
+            }
+        }
+    }
+    jobs
+}
+
+/// Work counters are exact where wall time is not: a change that makes
+/// synthesis do more or less scheduling and binding on the pinned set
+/// shows up here on any host. Update the numbers only on purpose, with
+/// the reason in the change log.
+#[test]
+fn pinned_set_work_counts_are_exact() {
+    let _lock = telemetry_lock();
+    let engine = Engine::new(Library::table1()).with_jobs(1);
+    let jobs = pinned_work_jobs();
+    let (mut feasible, mut sched_calls, mut bind_calls) = (0u64, 0u64, 0u64);
+    for job in &jobs {
+        match engine.synth(job) {
+            Ok(report) => {
+                feasible += 1;
+                sched_calls += u64::from(report.diagnostics.sched_calls);
+                bind_calls += u64::from(report.diagnostics.bind_calls);
+            }
+            Err(EngineError::Infeasible { .. }) => {}
+            Err(other) => panic!("{}: {other}", job.workload),
+        }
+    }
+    assert_eq!(
+        (jobs.len(), feasible, sched_calls, bind_calls),
+        (24, 22, 1982, 1982)
+    );
 }

@@ -86,7 +86,20 @@ pub fn parse_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
                 let t = dfg
                     .node_by_label(to)
                     .ok_or_else(|| err(lineno, format!("unknown node {to:?}")))?;
-                dfg.add_edge(f, t).map_err(|e| err(lineno, e.to_string()))?;
+                // Name the ops by the labels the file used, not the
+                // internal node ids `DfgError`'s display would show.
+                dfg.add_edge(f, t).map_err(|e| {
+                    let message = match e {
+                        crate::DfgError::SelfLoop(_) => {
+                            format!("self-loop on op {from:?} is not allowed")
+                        }
+                        crate::DfgError::DuplicateEdge(..) => {
+                            format!("edge {from:?} -> {to:?} already exists")
+                        }
+                        other => other.to_string(),
+                    };
+                    err(lineno, message)
+                })?;
             }
             _ => return Err(err(lineno, format!("unrecognized line {line:?}"))),
         }
@@ -232,6 +245,17 @@ mod tests {
         // The display names an op by the label the file used and omits
         // the meaningless `line 0:` prefix.
         assert_eq!(e.to_string(), "dependence cycle detected through op \"up\"");
+        // Per-edge errors name labels the same way.
+        let e = parse_dfg("op up add\nup -> up\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 2: self-loop on op \"up\" is not allowed"
+        );
+        let e = parse_dfg("op up add\nop down add\nup -> down\nup -> down\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 4: edge \"up\" -> \"down\" already exists"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the DFG substrate on random DAGs.
 
 use proptest::prelude::*;
-use rchls_dfg::{Dfg, NodeId, OpKind};
+use rchls_dfg::{parse_dfg, Dfg, NodeId, OpKind};
 
 /// Strategy: a random DAG with `n` nodes where edges only go from lower to
 /// higher ids (guaranteeing acyclicity by construction).
@@ -24,6 +24,57 @@ fn random_dag() -> impl Strategy<Value = Dfg> {
             g
         })
     })
+}
+
+/// A small valid input the mutation property starts from.
+const VALID_DFG: &str = "graph t\nop a add\nop b mul # c\nop c sub\na -> b\nb -> c\na -> c\n";
+
+/// Bytes that matter to the text format; mutations draw half their
+/// replacement bytes from here so they reach past the first token.
+const FORMAT_BYTES: &[u8] = b"\n\r\t #->abcgrphopaddmulsubdivcmp";
+
+/// Applies `(op, position, byte)` edits: 0 overwrites, 1 inserts, 2 deletes.
+fn mutate(input: &str, edits: &[(u8, usize, u8)]) -> String {
+    let mut bytes = input.as_bytes().to_vec();
+    for &(op, pos, byte) in edits {
+        let byte = if byte < 128 {
+            byte
+        } else {
+            FORMAT_BYTES[usize::from(byte) % FORMAT_BYTES.len()]
+        };
+        match op {
+            0 if !bytes.is_empty() => {
+                let i = pos % bytes.len();
+                bytes[i] = byte;
+            }
+            2 if !bytes.is_empty() => {
+                bytes.remove(pos % bytes.len());
+            }
+            _ => bytes.insert(pos % (bytes.len() + 1), byte),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn parse_never_panics_on_random_bytes(bytes in proptest::collection::vec(0u8..=255, 0..256)) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = parse_dfg(&text) {
+            prop_assert!(!e.message.is_empty());
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_mutated_input(
+        edits in proptest::collection::vec((0u8..3, 0usize..4096, 0u8..=255), 1..=5)
+    ) {
+        if let Err(e) = parse_dfg(&mutate(VALID_DFG, &edits)) {
+            prop_assert!(!e.message.is_empty());
+        }
+    }
 }
 
 proptest! {
@@ -61,7 +112,7 @@ proptest! {
 
     #[test]
     fn text_round_trip_preserves_structure(g in random_dag()) {
-        let parsed = rchls_dfg::parse_dfg(&g.to_text()).unwrap();
+        let parsed = parse_dfg(&g.to_text()).unwrap();
         prop_assert_eq!(parsed.node_count(), g.node_count());
         prop_assert_eq!(parsed.edge_count(), g.edge_count());
         for n in g.nodes() {

@@ -2,7 +2,7 @@
 //!
 //! Human output is `path:line:col: [rule] message` plus the offending
 //! line; `--format json` emits a schema-versioned document (the same
-//! discipline as `BENCH_engine.json`) that CI uploads as the
+//! discipline as the `rchls metrics` snapshot) that CI uploads as the
 //! `invariants` artifact. Both orderings are deterministic: findings
 //! sort by `(path, line, col, rule)`.
 

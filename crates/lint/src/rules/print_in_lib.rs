@@ -11,7 +11,7 @@ const PRINT_MACROS: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"]
 ///
 /// The CLI and the bench binaries own the terminal; a library that
 /// prints corrupts machine-readable output (`--format json` documents,
-/// `BENCH_engine.json`, the serve wire protocol) and is invisible to
+/// the metrics snapshot, the serve wire protocol) and is invisible to
 /// the telemetry pipeline. Libraries return data or record metrics;
 /// binaries print. (`rchls-cli`'s command layer is the designated
 /// printer and is exempted in `lint.toml`.)

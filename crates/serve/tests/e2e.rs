@@ -305,6 +305,27 @@ fn malformed_requests_get_structured_bad_request() {
 }
 
 #[test]
+fn deeply_nested_json_gets_bad_request_and_the_daemon_survives() {
+    let (handle, addr) = start(ephemeral(1, 4));
+    let mut client = Client::connect(&addr).unwrap();
+
+    // 10 000 levels would overflow a recursive parser's stack and abort
+    // the whole process; the nesting limit turns it into a parse error.
+    let line = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    let raw = client.roundtrip(&line).unwrap();
+    let doc: Value = serde_json::from_str(&raw).unwrap();
+    assert_eq!(response_error_kind(&doc), Some("bad_request"));
+    assert!(raw.contains("recursion limit"), "{raw}");
+
+    let mut fresh = Client::connect(&addr).unwrap();
+    let pong = fresh.call("ping", None, None).unwrap();
+    assert!(response_result(&pong).is_some());
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn a_panicking_request_leaves_the_daemon_serving() {
     struct PanickingStrategy;
     impl rchls_core::Strategy for PanickingStrategy {

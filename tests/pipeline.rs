@@ -22,7 +22,8 @@ fn run(
         .map(|r| r.design)
 }
 
-/// Representative feasible bounds per benchmark (see DESIGN.md §5).
+/// Representative feasible bounds per benchmark (see the Table-1
+/// reconciliation in `rchls_bench::table2_grid`'s docs).
 fn bounds_for(name: &str) -> Bounds {
     match name {
         "figure4a" => Bounds::new(5, 4),

@@ -37,7 +37,7 @@ pub struct Diagnostics {
     pub redundancy_moves: u32,
     /// Whether the allocation-first search hit its enumeration cap and
     /// therefore searched a *truncated* candidate set (see
-    /// [`crate::alloc_search::enumerate_allocations_with_cap`]). A pure
+    /// [`crate::alloc_search::best_allocation_design_diag`]). A pure
     /// function of the inputs — it survives scrubbing — so downstream
     /// consumers can tell a complete search from a capped one.
     pub alloc_cap_hit: bool,

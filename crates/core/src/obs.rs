@@ -70,18 +70,25 @@ counter_handle!(
     /// `alloc_cache.misses` — allocation-first designs computed fresh.
     alloc_cache_misses, "alloc_cache.misses");
 counter_handle!(
-    /// `alloc_search.enumerated` — allocations the allocation-first
-    /// search enumerated (those covering every class the graph uses).
+    /// `alloc_search.enumerated` — allocations (count rows covering every
+    /// class the graph uses) whose reliability upper bound the
+    /// allocation-first search's best-first walk evaluated; the rows of
+    /// pruned subtrees are never reached and not counted.
     alloc_search_enumerated, "alloc_search.enumerated");
 counter_handle!(
-    /// `alloc_search.floor_pruned` — enumerated allocations dropped
+    /// `alloc_search.floor_pruned` — evaluated allocations dropped
     /// because their reliability upper bound cannot reach the
     /// portfolio's floor.
     alloc_search_floor_pruned, "alloc_search.floor_pruned");
 counter_handle!(
     /// `alloc_search.list_scheduled` — allocations the search actually
-    /// ran its list scheduler on.
+    /// ran its list scheduler on (to the end or cut short).
     alloc_search_list_scheduled, "alloc_search.list_scheduled");
+counter_handle!(
+    /// `alloc_search.aborted` — list schedules cut short because the
+    /// allocation could provably no longer reach the search's threshold
+    /// or meet the latency bound.
+    alloc_search_aborted, "alloc_search.aborted");
 counter_handle!(
     /// `scratch_pool.lends` — arenas handed out by the session scratch pool.
     scratch_pool_lends, "scratch_pool.lends");

@@ -11,8 +11,10 @@
 //! * byte-identical batch documents with span sinks installed vs none;
 //! * a structurally valid Chrome trace whose sched/bind/refine spans
 //!   nest inside their enclosing `synth` span by timestamp containment;
-//! * exact work counts (jobs, feasible, scheduler and binder calls) over
-//!   a pinned job set, which are the same on every machine.
+//! * exact work counts (jobs, feasible, scheduler and binder calls, the
+//!   allocation search's counters) over a pinned job set, which are the
+//!   same on every machine;
+//! * a committed size ladder's designs and allocation-search work.
 //!
 //! The sink registry and metrics registry are process-global, and the
 //! tests in this binary share one process — every test serializes on
@@ -87,6 +89,7 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "alloc_search.enumerated",
     "alloc_search.floor_pruned",
     "alloc_search.list_scheduled",
+    "alloc_search.aborted",
 ];
 
 #[test]
@@ -262,12 +265,15 @@ fn pinned_work_jobs() -> Vec<SynthJob> {
 }
 
 /// Work counters are exact where wall time is not: a change that makes
-/// synthesis do more or less scheduling and binding on the pinned set
-/// shows up here on any host. Update the numbers only on purpose, with
+/// synthesis do more or less scheduling, binding or allocation search on
+/// the pinned set shows up here on any host. `list_scheduled` also pins
+/// *which* allocations the search schedules: any change to its visiting
+/// order or prunes moves it. Update the numbers only on purpose, with
 /// the reason in the change log.
 #[test]
 fn pinned_set_work_counts_are_exact() {
     let _lock = telemetry_lock();
+    metrics::reset();
     let engine = Engine::new(Library::table1()).with_jobs(1);
     let jobs = pinned_work_jobs();
     let (mut feasible, mut sched_calls, mut bind_calls) = (0u64, 0u64, 0u64);
@@ -286,4 +292,57 @@ fn pinned_set_work_counts_are_exact() {
         (jobs.len(), feasible, sched_calls, bind_calls),
         (24, 22, 1982, 1982)
     );
+    let alloc_search = [
+        "alloc_search.enumerated",
+        "alloc_search.floor_pruned",
+        "alloc_search.list_scheduled",
+        "alloc_search.aborted",
+    ]
+    .map(|name| metrics::counter(name).get());
+    assert_eq!(alloc_search, [32_755, 7_800, 17_078, 16_853]);
+}
+
+/// The committed size ladder: one graph per size at the loosest corner
+/// of its default grid (`rchls_explorer::default_grid`'s largest latency
+/// and area, hard-coded here). Pins each design's reliability bits,
+/// whether the allocation search's candidate set was capped, and how
+/// many allocations the search list-scheduled for the job.
+#[test]
+fn size_ladder_designs_and_search_work_are_pinned() {
+    let _lock = telemetry_lock();
+    let engine = Engine::new(Library::table1()).with_jobs(1);
+    let scheduled = || metrics::counter("alloc_search.list_scheduled").get();
+    for (spec, latency, area, bits, capped, list_scheduled) in [
+        (
+            "random:64x8@0",
+            24,
+            32,
+            0x3fee_03e4_1243_294a_u64,
+            false,
+            13,
+        ),
+        ("random:128x16@0", 48, 64, 0x3fec_274c_1b5a_de4e, true, 15),
+        (
+            "random:160x16@2",
+            48,
+            80,
+            0x3feb_4433_fee3_6f3a,
+            true,
+            20_521,
+        ),
+    ] {
+        let before = scheduled();
+        let report = engine
+            .synth(&SynthJob::new(spec, latency, area))
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert_eq!(
+            (
+                report.design.reliability.value().to_bits(),
+                report.diagnostics.alloc_cap_hit,
+                scheduled() - before,
+            ),
+            (bits, capped, list_scheduled),
+            "{spec} at ({latency}, {area})"
+        );
+    }
 }

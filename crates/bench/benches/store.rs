@@ -7,21 +7,15 @@ use rchls_core::{Engine, FlowSpec, RedundancyModel};
 use rchls_explorer::{explore, ExploreTask};
 use rchls_reslib::Library;
 use rchls_store::{Lookup, ResultStore};
+use rchls_testkit::TestDir;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::sync::Arc;
-
-/// A fresh scratch root under the system temp dir.
-fn scratch(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("rchls-bench-store-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    root
-}
 
 /// Envelope overhead: header encode + fsync + rename on save, read +
 /// validate on load, over a typical report-sized payload.
 fn bench_save_load(c: &mut Criterion) {
-    let store = ResultStore::open(scratch("roundtrip")).unwrap();
+    let dir = TestDir::new("bench-store-roundtrip");
+    let store = ResultStore::open(dir.path()).unwrap();
     let payload = "x".repeat(2048);
     c.bench_function("store/save-2KiB", |b| {
         let mut key = 0u64;
@@ -45,7 +39,8 @@ fn bench_save_load(c: &mut Criterion) {
 fn bench_store_tier_sweep(c: &mut Criterion) {
     let flow = FlowSpec::default();
     let model = RedundancyModel::default();
-    let store = Arc::new(ResultStore::open(scratch("tier")).unwrap());
+    let dir = TestDir::new("bench-store-tier");
+    let store = Arc::new(ResultStore::open(dir.path()).unwrap());
     let session = || {
         Engine::new(Library::table1())
             .with_jobs(1)

@@ -7,9 +7,10 @@
 //! bucket-pass/preallocated kernels against: optimized and reference
 //! must produce **byte-identical bindings** on every input.
 //!
-//! They are also registered as flow passes (`left-edge-reference`,
-//! `coloring-reference`) so whole synthesis runs can be replayed through
-//! the naive kernels and diffed end to end.
+//! `rchls-core`'s equivalence suites also register them as test-only
+//! flow passes (`left-edge-reference`, `coloring-reference`) so whole
+//! synthesis runs are replayed through the naive kernels and diffed end
+//! to end.
 
 use crate::assignment::Assignment;
 use crate::binding::{Binding, Instance, InstanceId};

@@ -343,7 +343,7 @@ fn bounds_arg(
     };
     let latency = match args.get("latency") {
         None if default_bounds => loosest(|&(l, _)| l)?,
-        _ => positive_bound(args, "latency")?,
+        _ => latency_ceiling("latency", positive_bound(args, "latency")?)?,
     };
     let area = match args.get("area") {
         None if default_bounds => loosest(|&(_, a)| a)?,
@@ -379,9 +379,20 @@ fn positive_bounds(args: &ParsedArgs, flag: &'static str) -> Result<Vec<u32>, Cl
     Ok(bounds)
 }
 
+/// Refuses a latency bound above the ceiling, naming `flag`.
+fn latency_ceiling(flag: &'static str, latency: u32) -> Result<u32, CliError> {
+    rchls_core::check_latency_bound(latency).map_err(|reason| CliError::BadValue {
+        flag: flag.to_owned(),
+        reason,
+    })
+}
+
 /// The `--latencies × --areas` bound grid of a sweep, latency-major.
 fn grid_arg(args: &ParsedArgs) -> Result<Vec<(u32, u32)>, CliError> {
     let latencies = positive_bounds(args, "latencies")?;
+    for &latency in &latencies {
+        latency_ceiling("latencies", latency)?;
+    }
     let areas = positive_bounds(args, "areas")?;
     Ok(latencies
         .iter()
@@ -471,10 +482,14 @@ impl DesignArgs {
                         reason: format!("only applies to the pipelined flow, not {requested:?}"),
                     });
                 }
-                if ii == 0 {
+                if ii == 0 || ii > rchls_core::MAX_LATENCY_BOUND {
                     return Err(CliError::BadValue {
                         flag: "ii".to_owned(),
-                        reason: "initiation interval must be positive".to_owned(),
+                        reason: format!(
+                            "initiation interval must be in 1..={} cycles (the modulo \
+                             scheduler allocates per cycle of the interval)",
+                            rchls_core::MAX_LATENCY_BOUND
+                        ),
                     });
                 }
                 (

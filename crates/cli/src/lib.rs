@@ -184,37 +184,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rchls_testkit::TestDir;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| (*x).to_owned()).collect()
-    }
-
-    /// A scratch directory owned by one test: the process id plus a
-    /// per-process counter keep concurrent tests (and concurrent test
-    /// processes) from sharing files, and the directory is removed on
-    /// drop.
-    struct TestDir(std::path::PathBuf);
-
-    impl TestDir {
-        fn new(tag: &str) -> TestDir {
-            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let dir =
-                std::env::temp_dir().join(format!("rchls-cli-{tag}-{}-{n}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            TestDir(dir)
-        }
-
-        fn join(&self, name: &str) -> std::path::PathBuf {
-            self.0.join(name)
-        }
-    }
-
-    impl Drop for TestDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
     }
 
     #[test]
@@ -975,7 +948,11 @@ mod tests {
 
     #[test]
     fn zero_bounds_are_refused_with_the_flag_named() {
-        let cases: Vec<(Vec<String>, &str)> = vec![
+        // Zero bounds, and latency bounds or intervals above the ceiling
+        // (a bound of u32::MAX once made the scheduler ask for 34 GB),
+        // are refused at the flag.
+        let huge = "4294967295";
+        let cases: Vec<(Vec<String>, &str, &str)> = vec![
             (
                 s(&[
                     "sweep",
@@ -987,6 +964,7 @@ mod tests {
                     "7",
                 ]),
                 "--latencies",
+                "must be positive",
             ),
             (
                 s(&[
@@ -998,10 +976,12 @@ mod tests {
                     "0",
                 ]),
                 "--areas",
+                "must be positive",
             ),
             (
                 s(&["synth", "--workload", "builtin:diffeq", "--latency", "0"]),
                 "--latency",
+                "must be positive",
             ),
             (
                 s(&[
@@ -1014,18 +994,57 @@ mod tests {
                     "0",
                 ]),
                 "--area",
+                "must be positive",
+            ),
+            (
+                s(&[
+                    "synth",
+                    "--workload",
+                    "builtin:diffeq",
+                    "--latency",
+                    huge,
+                    "--area",
+                    "40",
+                ]),
+                "--latency",
+                "ceiling of 65535",
+            ),
+            (
+                s(&[
+                    "sweep",
+                    "--workload",
+                    "builtin:diffeq",
+                    "--latencies",
+                    &format!("5,{huge}"),
+                    "--areas",
+                    "7",
+                ]),
+                "--latencies",
+                "ceiling of 65535",
+            ),
+            (
+                s(&[
+                    "synth",
+                    "--workload",
+                    "builtin:diffeq",
+                    "--latency",
+                    "8",
+                    "--area",
+                    "14",
+                    "--ii",
+                    huge,
+                ]),
+                "--ii",
+                "must be in 1..=65535",
             ),
         ];
-        for (args, flag) in cases {
+        for (args, flag, why) in cases {
             let err = run(&args).unwrap_err();
             assert!(
                 matches!(&err, CliError::BadValue { flag: f, .. } if format!("--{f}") == flag),
                 "{args:?}: {err}"
             );
-            assert!(
-                err.to_string().contains("must be positive"),
-                "{args:?}: {err}"
-            );
+            assert!(err.to_string().contains(why), "{args:?}: {err}");
         }
     }
 
@@ -1113,6 +1132,15 @@ mod tests {
         std::fs::write(&path, r#"[{"workload": "fir16"}]"#).unwrap();
         let err = run(&s(&["batch", path.to_str().unwrap()])).unwrap_err();
         assert!(err.to_string().contains("latency"));
+        // A huge latency bound would make the scheduler allocate per
+        // control step; it is refused before any synthesis starts.
+        std::fs::write(
+            &path,
+            r#"[{"workload": "builtin:diffeq", "latency": 4294967295, "area": 40}]"#,
+        )
+        .unwrap();
+        let err = run(&s(&["batch", path.to_str().unwrap()])).unwrap_err();
+        assert!(err.to_string().contains("ceiling of 65535"), "{err}");
         let err = run(&s(&["batch", "/nonexistent/jobs.json"])).unwrap_err();
         assert!(matches!(err, CliError::Io(_)));
     }

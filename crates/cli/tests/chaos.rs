@@ -5,15 +5,7 @@
 //! the rest of the CLI suite. Within the binary they serialize on
 //! [`chaos_lock`].
 
-use std::path::PathBuf;
-
-/// A fresh scratch dir under the system temp dir, unique per test.
-fn scratch(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("rchls-cli-chaos-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    root
-}
+use rchls_testkit::TestDir;
 
 /// The fault plane is process-global; tests that arm it must not
 /// overlap.
@@ -31,7 +23,7 @@ fn run(args: &[&str]) -> Result<String, rchls_cli::CliError> {
 #[test]
 fn chaos_run_passes_under_worker_panics_and_writes_a_report() {
     let _guard = chaos_lock();
-    let dir = scratch("panic");
+    let dir = TestDir::new("cli-chaos-panic");
     let plan = dir.join("plan.json");
     std::fs::write(
         &plan,
@@ -82,13 +74,12 @@ fn chaos_run_passes_under_worker_panics_and_writes_a_report() {
     assert!(report.contains("serve.worker.exec"), "{report}");
     // The run disarmed its plan on the way out.
     assert!(rchls_chaos::report().is_none());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn chaos_run_rejects_bad_plans_and_scripts() {
     let _guard = chaos_lock();
-    let dir = scratch("bad");
+    let dir = TestDir::new("cli-chaos-bad");
     let plan = dir.join("plan.json");
     let script = dir.join("script.json");
     std::fs::write(
@@ -137,13 +128,12 @@ fn chaos_run_rejects_bad_plans_and_scripts() {
     .to_string();
     assert!(err.contains("clientz"), "{err}");
     assert!(rchls_chaos::report().is_none());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn faulted_store_writes_do_not_change_batch_output() {
     let _guard = chaos_lock();
-    let dir = scratch("batch");
+    let dir = TestDir::new("cli-chaos-batch");
     let jobs = dir.join("jobs.json");
     std::fs::write(
         &jobs,
@@ -177,5 +167,4 @@ fn faulted_store_writes_do_not_change_batch_output() {
     assert_eq!(clean, faulted);
     // The command disarmed its plan on the way out.
     assert!(rchls_chaos::report().is_none());
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,6 +2,7 @@
 //! byte-identity across cold/warm/corrupted states, kill-and-resume
 //! sweeps, shard/merge recombination, and store maintenance commands.
 
+use rchls_testkit::TestDir;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -22,14 +23,6 @@ fn ok(args: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 stdout")
-}
-
-/// A fresh scratch directory, unique per test and process.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rchls-cli-e2e-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// The shared small sweep used by the store tests: 6 grid points over
@@ -71,7 +64,7 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn store_cold_warm_and_corrupted_sweeps_are_byte_identical() {
-    let dir = scratch("coldwarm");
+    let dir = TestDir::new("cli-e2e-coldwarm");
     let store = dir.join("store");
     let store = store.to_str().unwrap();
 
@@ -127,7 +120,7 @@ fn store_cold_warm_and_corrupted_sweeps_are_byte_identical() {
 
 #[test]
 fn store_verify_and_gc_maintain_the_store() {
-    let dir = scratch("maint");
+    let dir = TestDir::new("cli-e2e-maint");
     let store = dir.join("store");
     let store = store.to_str().unwrap();
     let _ = sweep_with_store(store);
@@ -159,7 +152,7 @@ fn store_verify_and_gc_maintain_the_store() {
 
 #[test]
 fn killed_sweep_resumes_to_the_byte_identical_document() {
-    let dir = scratch("resume");
+    let dir = TestDir::new("cli-e2e-resume");
     let store = dir.join("store");
     let store_arg = store.to_str().unwrap();
     // A 12-point grid over a 24-node workload: enough work that the
@@ -217,7 +210,7 @@ fn killed_sweep_resumes_to_the_byte_identical_document() {
 
 #[test]
 fn sharded_sweeps_merge_into_the_unsharded_document() {
-    let dir = scratch("shard");
+    let dir = TestDir::new("cli-e2e-shard");
     let reference = ok(SWEEP);
 
     let mut paths = Vec::new();
@@ -254,7 +247,7 @@ fn sharded_sweeps_merge_into_the_unsharded_document() {
 
 #[test]
 fn operation_free_dfg_files_are_refused_with_a_teaching_error() {
-    let dir = scratch("empty-dfg");
+    let dir = TestDir::new("cli-e2e-empty-dfg");
     let path = dir.join("empty.dfg");
     std::fs::write(&path, "# a graph with no operations\ngraph empty\n").unwrap();
     let spec = format!("file:{}", path.display());
@@ -272,5 +265,4 @@ fn operation_free_dfg_files_are_refused_with_a_teaching_error() {
         assert!(stderr.contains("op <label> <kind>"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

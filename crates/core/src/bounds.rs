@@ -37,6 +37,26 @@ impl Bounds {
     }
 }
 
+/// The largest latency bound accepted from outside the program. Schedulers
+/// allocate per control step, so `Ld = u32::MAX` would ask for tens of
+/// gigabytes; default exploration grids stay far below this ceiling.
+pub const MAX_LATENCY_BOUND: u32 = 65_535;
+
+/// Refuses a latency bound above [`MAX_LATENCY_BOUND`].
+///
+/// # Errors
+///
+/// Returns a message naming the ceiling for a bound above it.
+pub fn check_latency_bound(latency: u32) -> Result<u32, String> {
+    if latency > MAX_LATENCY_BOUND {
+        return Err(format!(
+            "latency bound {latency} exceeds the ceiling of {MAX_LATENCY_BOUND} cycles \
+             (scheduling cost grows with the bound)"
+        ));
+    }
+    Ok(latency)
+}
+
 impl fmt::Display for Bounds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Ld={}, Ad={}", self.latency, self.area)

@@ -513,12 +513,12 @@ mod tests {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
-    /// A fresh store root under the system temp dir, unique per test.
-    fn store_at(tag: &str) -> Arc<ResultStore> {
-        let root =
-            std::env::temp_dir().join(format!("rchls-core-store-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        Arc::new(ResultStore::open(root).expect("temp store opens"))
+    /// A store in a fresh test directory; keep the directory alive while
+    /// the store is in use.
+    fn store_at(tag: &str) -> (rchls_testkit::TestDir, Arc<ResultStore>) {
+        let dir = rchls_testkit::TestDir::new(&format!("core-store-{tag}"));
+        let store = ResultStore::open(dir.path()).expect("temp store opens");
+        (dir, Arc::new(store))
     }
 
     /// A session tiered over an existing store root.
@@ -528,7 +528,7 @@ mod tests {
 
     #[test]
     fn store_tier_round_trips_across_sessions() {
-        let store = store_at("roundtrip");
+        let (_dir, store) = store_at("roundtrip");
         let dfg = tiny();
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
@@ -565,7 +565,7 @@ mod tests {
 
     #[test]
     fn store_tier_records_infeasibility_too() {
-        let store = store_at("infeasible");
+        let (_dir, store) = store_at("infeasible");
         let dfg = tiny();
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
@@ -584,7 +584,7 @@ mod tests {
 
     #[test]
     fn corrupt_store_entries_are_recomputed_never_served() {
-        let store = store_at("corrupt");
+        let (_dir, store) = store_at("corrupt");
         let dfg = tiny();
         let flow_spec = FlowSpec::default();
         let model = RedundancyModel::default();
@@ -635,7 +635,7 @@ mod tests {
 
     #[test]
     fn undecodable_store_payloads_are_quarantined() {
-        let store = store_at("undecodable");
+        let (_dir, store) = store_at("undecodable");
         let dfg = tiny();
         let lib = Library::table1();
         let flow_spec = FlowSpec::default();
@@ -655,7 +655,7 @@ mod tests {
 
     #[test]
     fn store_collisions_compute_fresh_and_keep_the_entry() {
-        let store = store_at("collision");
+        let (_dir, store) = store_at("collision");
         let dfg = tiny();
         let lib = Library::table1();
         let flow_spec = FlowSpec::default();

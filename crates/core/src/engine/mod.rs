@@ -222,6 +222,7 @@ impl Deserialize for SynthJob {
                 "latency and area bounds must be positive",
             ));
         }
+        crate::check_latency_bound(latency).map_err(serde::Error::custom)?;
         let mut job = SynthJob::new(workload, latency, area);
         if let Some(s) = field("strategy") {
             job.strategy = String::from_value(s)?;
@@ -627,37 +628,10 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::SynthRequest;
+    use rchls_testkit::TestDir;
 
     fn engine() -> Engine {
         Engine::new(Library::table1())
-    }
-
-    /// A scratch directory owned by one test: the process id plus a
-    /// per-process counter keep concurrent tests (and concurrent test
-    /// processes) from sharing files, and the directory is removed on
-    /// drop.
-    struct TestDir(std::path::PathBuf);
-
-    impl TestDir {
-        fn new(tag: &str) -> TestDir {
-            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let dir =
-                std::env::temp_dir().join(format!("rchls-engine-{tag}-{}-{n}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            TestDir(dir)
-        }
-
-        fn join(&self, name: &str) -> std::path::PathBuf {
-            self.0.join(name)
-        }
-    }
-
-    impl Drop for TestDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
     }
 
     #[test]
@@ -806,11 +780,21 @@ mod tests {
         let back: Vec<SynthJob> =
             serde_json::from_str(&serde_json::to_string(&jobs).unwrap()).unwrap();
         assert_eq!(back, jobs);
-        // Zero bounds and missing fields are rejected.
+        // Zero bounds, latency bounds above the ceiling, and missing
+        // fields are rejected.
         assert!(serde_json::from_str::<SynthJob>(
             r#"{"workload": "builtin:fir16", "latency": 0, "area": 8}"#
         )
         .is_err());
+        let err = serde_json::from_str::<SynthJob>(
+            r#"{"workload": "builtin:diffeq", "latency": 4294967295, "area": 40}"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("ceiling of 65535"), "{err}");
+        assert!(serde_json::from_str::<SynthJob>(
+            r#"{"workload": "builtin:diffeq", "latency": 65535, "area": 40}"#
+        )
+        .is_ok());
         assert!(serde_json::from_str::<SynthJob>(r#"{"latency": 1, "area": 8}"#).is_err());
     }
 

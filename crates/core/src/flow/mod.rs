@@ -48,12 +48,10 @@ pub use crate::combined::Combined;
 pub use crate::pipelined::Pipelined;
 pub use diagnostics::Diagnostics;
 pub use passes::{
-    Binder, ColoringBinder, ColoringReferenceBinder, DensityReferenceScheduler, DensityScheduler,
-    FlowState, ForceDirectedReferenceScheduler, ForceDirectedScheduler, LeftEdgeBinder,
-    LeftEdgeReferenceBinder, MaxDelayVictim, MinReliabilityLossVictim, NoRefine, RefinePass,
-    Scheduler, VictimPolicy,
+    Binder, ColoringBinder, DensityScheduler, FlowState, ForceDirectedScheduler, LeftEdgeBinder,
+    MaxDelayVictim, MinReliabilityLossVictim, NoRefine, RefinePass, Scheduler, VictimPolicy,
 };
-pub use refine::{GreedyReferenceRefine, GreedyRefine};
+pub use refine::GreedyRefine;
 pub use registry::{
     binder, binder_ids, refine_pass, refine_pass_ids, register_binder, register_refine_pass,
     register_scheduler, register_strategy, register_victim_policy, scheduler, scheduler_ids,

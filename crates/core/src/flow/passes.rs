@@ -12,15 +12,12 @@ use crate::bounds::Bounds;
 use crate::error::SynthesisError;
 use crate::flow::Diagnostics;
 use crate::synth::Synthesizer;
-use rchls_bind::{
-    bind_coloring_with, bind_left_edge_with, reference as bind_reference, Assignment, BindScratch,
-    Binding,
-};
+use rchls_bind::{bind_coloring_with, bind_left_edge_with, Assignment, BindScratch, Binding};
 use rchls_dfg::{Dfg, NodeId};
 use rchls_reslib::{Library, VersionId};
 use rchls_sched::{
-    reference as sched_reference, schedule_density_with, schedule_force_directed_with, Delays,
-    SchedScratch, Schedule, ScheduleError,
+    schedule_density_with, schedule_force_directed_with, Delays, SchedScratch, Schedule,
+    ScheduleError,
 };
 
 /// A time-constrained scheduler: places every operation at a start step
@@ -246,59 +243,6 @@ impl Scheduler for ForceDirectedScheduler {
     }
 }
 
-/// The retained naive partition-density scheduler (id
-/// `"density-reference"`): full recomputation per placement, allocating
-/// freely. Byte-identical to `"density"` — kept so whole flows can be
-/// replayed through the naive kernel and diffed against the optimized
-/// one (the CI golden tests do exactly that).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DensityReferenceScheduler;
-
-impl Scheduler for DensityReferenceScheduler {
-    fn id(&self) -> &str {
-        "density-reference"
-    }
-
-    fn description(&self) -> &str {
-        "naive reference of the density scheduler (byte-identical, slow; for equivalence tests)"
-    }
-
-    fn schedule(
-        &self,
-        dfg: &Dfg,
-        delays: &Delays,
-        latency: u32,
-    ) -> Result<Schedule, ScheduleError> {
-        sched_reference::schedule_density_reference(dfg, delays, latency)
-    }
-}
-
-/// The retained naive force-directed scheduler (id
-/// `"force-directed-reference"`): recomputes every distribution graph
-/// and candidate force each iteration. Byte-identical to
-/// `"force-directed"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForceDirectedReferenceScheduler;
-
-impl Scheduler for ForceDirectedReferenceScheduler {
-    fn id(&self) -> &str {
-        "force-directed-reference"
-    }
-
-    fn description(&self) -> &str {
-        "naive reference of the force-directed scheduler (byte-identical, slow)"
-    }
-
-    fn schedule(
-        &self,
-        dfg: &Dfg,
-        delays: &Delays,
-        latency: u32,
-    ) -> Result<Schedule, ScheduleError> {
-        sched_reference::schedule_force_directed_reference(dfg, delays, latency)
-    }
-}
-
 // ---------------------------------------------------------------- binders
 
 /// Left-edge interval packing (id `"left-edge"`; optimal per version).
@@ -368,58 +312,6 @@ impl Binder for ColoringBinder {
         scratch: &mut BindScratch,
     ) -> Binding {
         bind_coloring_with(dfg, schedule, assignment, library, scratch)
-    }
-}
-
-/// The retained naive left-edge binder (id `"left-edge-reference"`):
-/// `BTreeMap` grouping plus comparison sorts. Byte-identical to
-/// `"left-edge"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeftEdgeReferenceBinder;
-
-impl Binder for LeftEdgeReferenceBinder {
-    fn id(&self) -> &str {
-        "left-edge-reference"
-    }
-
-    fn description(&self) -> &str {
-        "naive reference of the left-edge binder (byte-identical, slow; for equivalence tests)"
-    }
-
-    fn bind(
-        &self,
-        dfg: &Dfg,
-        schedule: &Schedule,
-        assignment: &Assignment,
-        library: &Library,
-    ) -> Binding {
-        bind_reference::bind_left_edge_reference(dfg, schedule, assignment, library)
-    }
-}
-
-/// The retained naive coloring binder (id `"coloring-reference"`):
-/// per-pass node-list clones and `BTreeMap` conflict walks.
-/// Byte-identical to `"coloring"`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ColoringReferenceBinder;
-
-impl Binder for ColoringReferenceBinder {
-    fn id(&self) -> &str {
-        "coloring-reference"
-    }
-
-    fn description(&self) -> &str {
-        "naive reference of the coloring binder (byte-identical, slow)"
-    }
-
-    fn bind(
-        &self,
-        dfg: &Dfg,
-        schedule: &Schedule,
-        assignment: &Assignment,
-        library: &Library,
-    ) -> Binding {
-        bind_reference::bind_coloring_reference(dfg, schedule, assignment, library)
     }
 }
 
@@ -518,13 +410,12 @@ impl RefinePass for NoRefine {
     }
 }
 
-// The greedy refine passes (`"greedy"` and its retained naive
-// `"greedy-reference"`) live in [`crate::flow::refine`].
+// The greedy refine pass (`"greedy"`) lives in [`crate::flow::refine`].
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::refine::{GreedyReferenceRefine, GreedyRefine};
+    use crate::flow::refine::GreedyRefine;
     use rchls_dfg::{DfgBuilder, OpKind};
 
     fn chain3() -> Dfg {
@@ -546,46 +437,7 @@ mod tests {
         assert_eq!(MinReliabilityLossVictim.id(), "min-reliability-loss");
         assert_eq!(GreedyRefine.id(), "greedy");
         assert_eq!(NoRefine.id(), "off");
-        assert_eq!(GreedyReferenceRefine.id(), "greedy-reference");
-        assert_eq!(DensityReferenceScheduler.id(), "density-reference");
-        assert_eq!(
-            ForceDirectedReferenceScheduler.id(),
-            "force-directed-reference"
-        );
-        assert_eq!(LeftEdgeReferenceBinder.id(), "left-edge-reference");
-        assert_eq!(ColoringReferenceBinder.id(), "coloring-reference");
         assert!(!DensityScheduler.description().is_empty());
-    }
-
-    #[test]
-    fn reference_passes_match_optimized_passes() {
-        let g = chain3();
-        let lib = Library::table1();
-        let assignment = Assignment::uniform(&g, &lib).unwrap();
-        let delays = assignment.delays(&g, &lib);
-        for (opt, reference) in [
-            (
-                &DensityScheduler as &dyn Scheduler,
-                &DensityReferenceScheduler as &dyn Scheduler,
-            ),
-            (&ForceDirectedScheduler, &ForceDirectedReferenceScheduler),
-        ] {
-            let a = opt.schedule(&g, &delays, 8).unwrap();
-            let b = reference.schedule(&g, &delays, 8).unwrap();
-            assert_eq!(a, b, "{}", reference.id());
-        }
-        let s = DensityScheduler.schedule(&g, &delays, 8).unwrap();
-        for (opt, reference) in [
-            (
-                &LeftEdgeBinder as &dyn Binder,
-                &LeftEdgeReferenceBinder as &dyn Binder,
-            ),
-            (&ColoringBinder, &ColoringReferenceBinder),
-        ] {
-            let a = opt.bind(&g, &s, &assignment, &lib);
-            let b = reference.bind(&g, &s, &assignment, &lib);
-            assert_eq!(a, b, "{}", reference.id());
-        }
     }
 
     #[test]

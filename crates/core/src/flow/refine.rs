@@ -1,13 +1,13 @@
-//! The greedy refinement kernel: portfolio starts plus lazy-greedy
-//! version upgrades, in a delta-evaluated fast form (`"greedy"`) and a
-//! full-recompute naive reference (`"greedy-reference"`).
+//! The greedy refinement kernel (`"greedy"`): portfolio starts plus
+//! lazy-greedy version upgrades, in a delta-evaluated form.
 //!
 //! # The decision procedure
 //!
-//! Both passes run **the same algorithm** — only the evaluation machinery
-//! differs — so their `SynthReport`s (designs *and* deterministic
-//! diagnostics) are byte-identical, which the golden suites assert on
-//! every pinned workload. Per upgrade iteration:
+//! The equivalence suites (`crates/core/tests`) register a naive
+//! `"greedy-reference"` twin, written on the public flow API from this
+//! procedure alone; the two passes' `SynthReport`s (designs *and*
+//! deterministic diagnostics) must be byte-identical on every pinned
+//! workload. Per upgrade iteration:
 //!
 //! 1. every `(node, version)` candidate whose version is strictly more
 //!    reliable than the node's current one gets its exact reliability
@@ -59,7 +59,6 @@
 //! version multisets — so the golden equality between the two passes
 //! *proves* every cached form above, not just exercises it.
 
-use crate::alloc_search;
 use crate::bounds::Bounds;
 use crate::error::SynthesisError;
 use crate::flow::{Diagnostics, FlowState, RefinePass};
@@ -95,13 +94,10 @@ fn sort_queue(moves: &mut [MoveCandidate]) {
     });
 }
 
-/// Assembles the starting-design portfolio both greedy passes share: the
-/// Figure-6 result (when feasible), every uniform single-version design
-/// meeting the bounds, and the best allocation-first design; the most
-/// reliable member wins. `memoized_starts` selects the session-interned
-/// uniform-start pool (the fast pass) or a fresh recompute (the
-/// reference) — the pools are identical by construction, which the
-/// engine determinism suite checks.
+/// Assembles the starting-design portfolio: the Figure-6 result (when
+/// feasible), every uniform single-version design meeting the bounds
+/// (from the session starts cache when one is attached), and the best
+/// allocation-first design; the most reliable member wins.
 ///
 /// The allocation search runs last, seeded with the best reliability
 /// among the other members as its floor: it returns its design only when
@@ -115,30 +111,20 @@ fn portfolio_best(
     figure6: Result<FlowState, SynthesisError>,
     bounds: Bounds,
     diagnostics: &mut Diagnostics,
-    memoized_starts: bool,
 ) -> Result<FlowState, SynthesisError> {
-    let dfg = synth.dfg();
     let library = synth.library();
     let reliability = |state: &FlowState| state.assignment.design_reliability(library).value();
     let mut candidates: Vec<FlowState> = Vec::new();
     if let Ok(x) = &figure6 {
         candidates.push(x.clone());
     }
-    if memoized_starts {
-        candidates.extend(synth.uniform_feasible_starts(bounds)?);
-    } else {
-        candidates.extend(synth.uniform_feasible_starts_fresh(bounds)?);
-    }
+    candidates.extend(synth.uniform_feasible_starts(bounds)?);
     let floor = if seeding_disabled() {
         0.0
     } else {
         candidates.iter().map(reliability).fold(0.0, f64::max)
     };
-    let alloc = if memoized_starts {
-        synth.alloc_design(bounds, floor, diagnostics)
-    } else {
-        alloc_search::best_allocation_design_diag(dfg, library, bounds, floor, diagnostics)
-    };
+    let alloc = synth.alloc_design(bounds, floor, diagnostics);
     candidates.extend(alloc.map(|(assignment, schedule, binding)| FlowState {
         assignment,
         schedule,
@@ -200,88 +186,9 @@ impl RefinePass for GreedyRefine {
         bounds: Bounds,
         diagnostics: &mut Diagnostics,
     ) -> Result<FlowState, SynthesisError> {
-        let best = portfolio_best(synth, figure6, bounds, diagnostics, true)?;
+        let best = portfolio_best(synth, figure6, bounds, diagnostics)?;
         upgrade_loop_delta(synth, best, bounds, diagnostics)
     }
-}
-
-/// The retained naive greedy pass (id `"greedy-reference"`): the same
-/// lazy-greedy decision procedure as [`GreedyRefine`], with every
-/// quantity re-derived from first principles per candidate — full
-/// `design_reliability` products, full ASAP latency per scanned move,
-/// recounted version multisets through an independently written area
-/// floor (`area_floor_reference`), an independently written queue
-/// ordering (`sort_queue_reference`), and a fresh (never memoized)
-/// uniform start pool. Nothing but the procedure spec is shared with
-/// the optimized pass, so a bug in any optimized screen, cache, or
-/// comparator shows up as a golden-suite divergence instead of
-/// cancelling out. Byte-identical reports, an order of magnitude
-/// slower; kept so whole flows can be replayed through the naive
-/// kernel and diffed against the optimized one (the CI golden tests do
-/// exactly that).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyReferenceRefine;
-
-impl RefinePass for GreedyReferenceRefine {
-    fn id(&self) -> &str {
-        "greedy-reference"
-    }
-
-    fn description(&self) -> &str {
-        "naive reference of the greedy refine pass (byte-identical, slow; for equivalence tests)"
-    }
-
-    fn run(
-        &self,
-        synth: &Synthesizer<'_>,
-        figure6: Result<FlowState, SynthesisError>,
-        bounds: Bounds,
-        diagnostics: &mut Diagnostics,
-    ) -> Result<FlowState, SynthesisError> {
-        let best = portfolio_best(synth, figure6, bounds, diagnostics, false)?;
-        upgrade_loop_reference(synth, best, bounds, diagnostics)
-    }
-}
-
-/// The reference kernel's own queue ordering, written out from the
-/// decision-procedure spec rather than shared with the optimized pass —
-/// so an ordering bug in [`sort_queue`] shows up as a golden-suite
-/// divergence instead of cancelling out.
-fn sort_queue_reference(moves: &mut [MoveCandidate]) {
-    moves.sort_by(|a, b| match b.gain.total_cmp(&a.gain) {
-        std::cmp::Ordering::Equal => match a.node.index().cmp(&b.node.index()) {
-            std::cmp::Ordering::Equal => a.order.cmp(&b.order),
-            node_order => node_order,
-        },
-        gain_order => gain_order,
-    });
-}
-
-/// The reference kernel's area lower bound, recomputed from first
-/// principles per candidate (fresh multiset count, explicit
-/// ceiling-division arithmetic) and deliberately *not* shared with the
-/// optimized pass's [`area_floor`]/[`version_area_floor`] helpers, for
-/// the same divergence-detection reason.
-fn area_floor_reference(library: &Library, assignment: &Assignment, latency_bound: u32) -> u64 {
-    let mut counts = vec![0u32; library.iter().count()];
-    for (_, v) in assignment.iter() {
-        counts[v.index()] += 1;
-    }
-    let mut floor = 0u64;
-    for (slot, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let ver = library.version(VersionId::new(slot as u32));
-        let capacity = latency_bound / ver.delay().max(1);
-        if capacity == 0 {
-            floor += u64::MAX / 2;
-            continue;
-        }
-        let instances = u64::from(count).div_ceil(u64::from(capacity));
-        floor += instances * u64::from(ver.area());
-    }
-    floor
 }
 
 /// The delay of `version` under `library`, as the area-bound capacity
@@ -477,91 +384,11 @@ fn upgrade_loop_delta(
     Ok(state)
 }
 
-/// The full-recompute upgrade loop behind [`GreedyReferenceRefine`]:
-/// decision-for-decision the procedure above, with every screen
-/// evaluated from first principles.
-fn upgrade_loop_reference(
-    synth: &Synthesizer<'_>,
-    mut state: FlowState,
-    bounds: Bounds,
-    diagnostics: &mut Diagnostics,
-) -> Result<FlowState, SynthesisError> {
-    let dfg = synth.dfg();
-    let library = synth.library();
-    let mut moves: Vec<MoveCandidate> = Vec::new();
-    loop {
-        diagnostics.loop_iterations += 1;
-        let state_rel = state.assignment.design_reliability(library).value();
-        moves.clear();
-        for node in dfg.node_ids() {
-            let cur_r = library
-                .version(state.assignment.version(node))
-                .reliability()
-                .value();
-            for (order, (v, ver)) in library.versions_of(dfg.node(node).class()).enumerate() {
-                if ver.reliability().value() <= cur_r {
-                    continue;
-                }
-                // Full product recompute for every candidate.
-                let mut swapped = state.assignment.clone();
-                swapped.set(node, v);
-                moves.push(MoveCandidate {
-                    gain: swapped.design_reliability(library).value() - state_rel,
-                    node,
-                    order: order as u32,
-                    version: v,
-                });
-            }
-        }
-        sort_queue_reference(&mut moves);
-
-        let mut winner = None;
-        for mv in &moves {
-            if mv.gain <= GAIN_EPSILON {
-                diagnostics.rejected_moves += 1;
-                break;
-            }
-            let mut cand = state.assignment.clone();
-            cand.set(mv.node, mv.version);
-            // Full ASAP critical-path recompute.
-            if synth.min_latency(&cand)? > bounds.latency {
-                diagnostics.rejected_moves += 1;
-                continue;
-            }
-            // Area lower bound from a freshly recounted multiset.
-            if area_floor_reference(library, &cand, bounds.latency) > u64::from(bounds.area) {
-                diagnostics.rejected_moves += 1;
-                continue;
-            }
-            let (schedule, binding) = synth.schedule_and_bind(&cand, bounds.latency)?;
-            if binding.total_area(library) > bounds.area {
-                diagnostics.rejected_moves += 1;
-                continue;
-            }
-            winner = Some((cand, schedule, binding));
-            break;
-        }
-
-        match winner {
-            Some((assignment, schedule, binding)) => {
-                diagnostics.refine_upgrades += 1;
-                state = FlowState {
-                    assignment,
-                    schedule,
-                    binding,
-                };
-            }
-            None => break,
-        }
-    }
-    Ok(state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{FlowSpec, Ours, Strategy, SynthRequest};
-    use rchls_dfg::{Dfg, DfgBuilder, OpKind};
+    use crate::flow::SynthRequest;
+    use rchls_dfg::Dfg;
     use rchls_reslib::Library;
 
     thread_local! {
@@ -569,7 +396,7 @@ mod tests {
         pub(super) static UNSEEDED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
-    /// Runs `strategy` at `bounds` under the `refine` pass, with the
+    /// Runs `strategy` at `bounds` under the default flow, with the
     /// allocation search seeded (the default) or unseeded, through a
     /// session starts cache when `cache` is given.
     fn design_with(
@@ -577,12 +404,10 @@ mod tests {
         lib: &Library,
         bounds: Bounds,
         strategy: &str,
-        refine: &str,
         cache: Option<&crate::engine::StartsCache>,
         unseeded: bool,
     ) -> Result<crate::SynthReport, String> {
-        let mut request =
-            SynthRequest::new(dfg, lib, bounds).with_flow(FlowSpec::default().with_refine(refine));
+        let mut request = SynthRequest::new(dfg, lib, bounds);
         if let Some(cache) = cache {
             request = request.with_starts_cache(cache);
         }
@@ -597,8 +422,8 @@ mod tests {
     #[test]
     fn seeded_portfolio_picks_the_unseeded_design() {
         // The floor only drops allocation designs that could never win
-        // the portfolio, so `ours` and `combined` designs under both
-        // refine passes are byte-identical to an unseeded run — on the
+        // the portfolio, so `ours` and `combined` designs are
+        // byte-identical to an unseeded run — on the
         // pinned random corpus and on a graph whose enumeration hits the
         // cap at default bounds.
         let lib = Library::table1();
@@ -622,67 +447,28 @@ mod tests {
         for (spec, dfg, bounds) in &cases {
             let cache = crate::engine::StartsCache::default();
             for strategy in ["ours", "combined"] {
-                for refine in ["greedy", "greedy-reference"] {
-                    let what = format!("{strategy}/{refine} on {spec} at {bounds}");
-                    let unseeded = design_with(dfg, &lib, *bounds, strategy, refine, None, true);
-                    let seeded = design_with(dfg, &lib, *bounds, strategy, refine, None, false);
-                    let cached =
-                        design_with(dfg, &lib, *bounds, strategy, refine, Some(&cache), false);
-                    let design = |r: &Result<crate::SynthReport, String>| {
-                        r.as_ref().map(|r| r.design.clone()).map_err(Clone::clone)
-                    };
-                    let cap_hit = |r: &Result<crate::SynthReport, String>| {
-                        r.as_ref().map(|r| r.diagnostics.alloc_cap_hit).ok()
-                    };
-                    assert_eq!(design(&seeded), design(&unseeded), "{what}");
-                    assert_eq!(design(&cached), design(&unseeded), "{what} (cached)");
-                    assert_eq!(cap_hit(&seeded), cap_hit(&unseeded), "{what}");
-                }
+                let what = format!("{strategy} on {spec} at {bounds}");
+                let unseeded = design_with(dfg, &lib, *bounds, strategy, None, true);
+                let seeded = design_with(dfg, &lib, *bounds, strategy, None, false);
+                let cached = design_with(dfg, &lib, *bounds, strategy, Some(&cache), false);
+                let design = |r: &Result<crate::SynthReport, String>| {
+                    r.as_ref().map(|r| r.design.clone()).map_err(Clone::clone)
+                };
+                let cap_hit = |r: &Result<crate::SynthReport, String>| {
+                    r.as_ref().map(|r| r.diagnostics.alloc_cap_hit).ok()
+                };
+                assert_eq!(design(&seeded), design(&unseeded), "{what}");
+                assert_eq!(design(&cached), design(&unseeded), "{what} (cached)");
+                assert_eq!(cap_hit(&seeded), cap_hit(&unseeded), "{what}");
             }
         }
         let (_, capped, bounds) = cases.last().expect("the capped case");
-        let report = design_with(capped, &lib, *bounds, "ours", "greedy", None, false)
+        let report = design_with(capped, &lib, *bounds, "ours", None, false)
             .expect("the loosest default corner is feasible");
         assert!(
             report.diagnostics.alloc_cap_hit,
             "the ladder graph is capped"
         );
-    }
-
-    fn figure4a() -> Dfg {
-        DfgBuilder::new("figure4a")
-            .ops(&["A", "B", "C", "D", "E", "F"], OpKind::Add)
-            .dep("A", "C")
-            .dep("B", "C")
-            .dep("C", "D")
-            .dep("C", "E")
-            .dep("D", "F")
-            .dep("E", "F")
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn greedy_and_reference_reports_are_identical() {
-        let g = figure4a();
-        let lib = Library::table1();
-        for (latency, area) in [(5u32, 4u32), (6, 4), (8, 8), (20, 10)] {
-            let bounds = Bounds::new(latency, area);
-            let run = |refine: &str| {
-                Ours.run(
-                    &SynthRequest::new(&g, &lib, bounds)
-                        .with_flow(FlowSpec::default().with_refine(refine)),
-                )
-                .unwrap()
-            };
-            let (fast, slow) = (run("greedy"), run("greedy-reference"));
-            assert_eq!(fast.design, slow.design, "design at {bounds}");
-            assert_eq!(
-                fast.diagnostics.scrubbed(),
-                slow.diagnostics.scrubbed(),
-                "diagnostics at {bounds}"
-            );
-        }
     }
 
     #[test]

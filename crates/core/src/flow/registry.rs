@@ -3,7 +3,10 @@
 //! Every pass slot of a [`crate::FlowSpec`] and every strategy id resolves
 //! through these registries. Built-ins are installed on first access;
 //! out-of-tree crates add their own implementations with the `register_*`
-//! functions — typically once at startup:
+//! functions — typically once at startup. The equivalence suites take
+//! this path too: the naive `*-reference` oracles of the optimized passes
+//! are test code, registered by `crates/core/tests/support`, never
+//! built in.
 //!
 //! ```
 //! use rchls_core::flow::{self, Scheduler};
@@ -39,12 +42,10 @@
 //! ```
 
 use crate::flow::passes::{
-    Binder, ColoringBinder, ColoringReferenceBinder, DensityReferenceScheduler, DensityScheduler,
-    ForceDirectedReferenceScheduler, ForceDirectedScheduler, LeftEdgeBinder,
-    LeftEdgeReferenceBinder, MaxDelayVictim, MinReliabilityLossVictim, NoRefine, RefinePass,
-    Scheduler, VictimPolicy,
+    Binder, ColoringBinder, DensityScheduler, ForceDirectedScheduler, LeftEdgeBinder,
+    MaxDelayVictim, MinReliabilityLossVictim, NoRefine, RefinePass, Scheduler, VictimPolicy,
 };
-use crate::flow::refine::{GreedyReferenceRefine, GreedyRefine};
+use crate::flow::refine::GreedyRefine;
 use crate::flow::{Baseline, Combined, Ours, Pipelined, Redundancy, Strategy};
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -132,8 +133,6 @@ fn registries() -> &'static Registries {
                 vec![
                     sched(Arc::new(DensityScheduler)),
                     sched(Arc::new(ForceDirectedScheduler)),
-                    sched(Arc::new(DensityReferenceScheduler)),
-                    sched(Arc::new(ForceDirectedReferenceScheduler)),
                 ],
             ),
             binders: Table::new(
@@ -141,8 +140,6 @@ fn registries() -> &'static Registries {
                 vec![
                     bind(Arc::new(LeftEdgeBinder)),
                     bind(Arc::new(ColoringBinder)),
-                    bind(Arc::new(LeftEdgeReferenceBinder)),
-                    bind(Arc::new(ColoringReferenceBinder)),
                 ],
             ),
             victims: Table::new(
@@ -154,11 +151,7 @@ fn registries() -> &'static Registries {
             ),
             refines: Table::new(
                 "refine pass",
-                vec![
-                    refi(Arc::new(GreedyRefine)),
-                    refi(Arc::new(NoRefine)),
-                    refi(Arc::new(GreedyReferenceRefine)),
-                ],
+                vec![refi(Arc::new(GreedyRefine)), refi(Arc::new(NoRefine))],
             ),
             strategies: Table::new(
                 "strategy",
@@ -288,26 +281,16 @@ mod tests {
 
     #[test]
     fn builtins_are_always_present() {
-        for id in [
-            "density",
-            "force-directed",
-            "density-reference",
-            "force-directed-reference",
-        ] {
+        for id in ["density", "force-directed"] {
             assert!(scheduler(id).is_some(), "{id}");
         }
-        for id in [
-            "left-edge",
-            "coloring",
-            "left-edge-reference",
-            "coloring-reference",
-        ] {
+        for id in ["left-edge", "coloring"] {
             assert!(binder(id).is_some(), "{id}");
         }
         for id in ["max-delay", "min-reliability-loss"] {
             assert!(victim_policy(id).is_some(), "{id}");
         }
-        for id in ["greedy", "off", "greedy-reference"] {
+        for id in ["greedy", "off"] {
             assert!(refine_pass(id).is_some(), "{id}");
         }
         for id in ["baseline", "ours", "combined", "pipelined", "redundancy"] {
@@ -315,6 +298,25 @@ mod tests {
         }
         assert!(scheduler("nope").is_none());
         assert!(strategy("nope").is_none());
+        // The naive reference twins are test oracles: the equivalence
+        // suites register them out of tree, and no listing offers them.
+        for ids in [
+            scheduler_ids(),
+            binder_ids(),
+            victim_policy_ids(),
+            refine_pass_ids(),
+            strategy_ids(),
+        ] {
+            assert!(!ids.iter().any(|id| id.ends_with("-reference")), "{ids:?}");
+        }
+        let err = crate::FlowSpec::default()
+            .with_scheduler("density-reference")
+            .resolve()
+            .expect_err("unregistered");
+        assert_eq!(
+            err.to_string(),
+            "unknown scheduler \"density-reference\" (see `rchls flows` for registered ids)"
+        );
     }
 
     #[test]

@@ -24,11 +24,10 @@ use std::sync::Arc;
 /// | `victim`    | `max-delay`, `min-reliability-loss`  |
 /// | `refine`    | `greedy`, `off`                      |
 ///
-/// The optimized scheduler, binder, and `greedy` refine passes each have
-/// a retained naive twin under the `-reference` suffix (e.g.
-/// `density-reference`, `greedy-reference`): byte-identical output,
-/// full recomputation — for equivalence testing and replaying flows
-/// through the naive kernels.
+/// The equivalence suites in `crates/core/tests` register naive
+/// `-reference` twins of the optimized scheduler, binder and `greedy`
+/// passes (e.g. `density-reference`, `greedy-reference`) through the
+/// public `register_*` API; they are test oracles, not built-ins.
 ///
 /// # Examples
 ///

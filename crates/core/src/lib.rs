@@ -86,7 +86,7 @@ mod sync;
 mod synth;
 mod validate;
 
-pub use bounds::Bounds;
+pub use bounds::{check_latency_bound, Bounds, MAX_LATENCY_BOUND};
 pub use design::Design;
 pub use engine::{BatchReport, CacheBudget, Engine, EngineError, JobOutcome, SynthJob};
 pub use error::SynthesisError;

@@ -291,8 +291,7 @@ impl<'a> Synthesizer<'a> {
 
     /// [`Synthesizer::uniform_feasible_starts`] bypassing any session
     /// cache: always schedules and binds every uniform assignment. The
-    /// naive reference passes use this so the golden equivalence suites
-    /// prove the interned pools against fresh recomputation.
+    /// session starts cache computes its pools with this.
     pub(crate) fn uniform_feasible_starts_fresh(
         &self,
         bounds: Bounds,

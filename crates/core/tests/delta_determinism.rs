@@ -6,7 +6,10 @@
 //! it over the pinned random families `random:{8x3,32x6,64x8}@{0..4}`
 //! and every builtin workload, and checks that whole engine batches stay
 //! byte-identical across worker counts (`--jobs 1` vs `--jobs 8`) with
-//! the scratch pool in play.
+//! the scratch pool in play. The whole-flow reference passes are
+//! registered by [`support::register_reference_passes`].
+
+mod support;
 
 use rchls_bind::{
     bind_coloring, bind_left_edge,
@@ -151,6 +154,7 @@ fn pooled_batches_are_byte_identical_across_worker_counts() {
 /// reports through the engine.
 #[test]
 fn reference_flows_reproduce_optimized_reports_on_random_64x8() {
+    support::register_reference_passes();
     let engine = Engine::new(Library::table1()).with_jobs(1);
     let reference_flow = FlowSpec::default()
         .with_scheduler("density-reference")
@@ -250,6 +254,7 @@ fn incremental_reliability_matches_full_recompute_on_the_corpus() {
 /// live on the `greedy` side and deliberately bypassed by the reference.
 #[test]
 fn greedy_reference_reproduces_greedy_batches_across_worker_counts() {
+    support::register_reference_passes();
     let reference_flow = FlowSpec::default().with_refine("greedy-reference");
     let mut fast_jobs = Vec::new();
     let mut reference_jobs = Vec::new();

@@ -7,12 +7,18 @@
 //! strategies and intervals apart. (Test names stay stable across API
 //! changes so results can be tracked over time; in them, a strategy's
 //! "legacy entry point" is its uncached `Strategy::run`.)
+//!
+//! The naive `*-reference` passes the kernel goldens compare against are
+//! test code: [`support::register_reference_passes`] registers them
+//! through the public registry API.
+
+mod support;
 
 use rchls_core::flow::Pipelined;
 use rchls_core::{
     flow, Bounds, Design, Engine, FlowSpec, RedundancyModel, Strategy, SynthReport, SynthRequest,
 };
-use rchls_dfg::Dfg;
+use rchls_dfg::{Dfg, DfgBuilder, OpKind};
 use rchls_reslib::Library;
 
 /// The deterministic sweep fixtures: per benchmark, the bound pairs the
@@ -203,11 +209,21 @@ fn redundancy_is_deterministic_and_dominates_baseline() {
 /// and binder for their retained naive references
 /// (`density-reference`, `left-edge-reference`, ...) produces
 /// byte-identical `SynthReport`s (designs and scrubbed diagnostics) —
-/// the delta-cost kernels change nothing but wall time.
+/// the delta-cost kernels change nothing but wall time. A three-add
+/// chain joins the fixtures as the smallest input.
 #[test]
 fn optimized_and_reference_kernels_agree_across_all_combos_and_strategies() {
+    support::register_reference_passes();
     let lib = Library::table1();
-    for (dfg, points) in fixtures() {
+    let chain3 = DfgBuilder::new("chain3")
+        .ops(&["a", "b", "c"], OpKind::Add)
+        .dep("a", "b")
+        .dep("b", "c")
+        .build()
+        .expect("a valid chain");
+    let mut inputs = fixtures();
+    inputs.push((chain3, vec![Bounds::new(8, 8)]));
+    for (dfg, points) in inputs {
         for optimized in all_combos() {
             let reference = optimized
                 .clone()
@@ -242,12 +258,17 @@ fn optimized_and_reference_kernels_agree_across_all_combos_and_strategies() {
 /// and replay across flows) while the reference side recomputes
 /// everything fresh through `Strategy::run` — proving the O(1) latency
 /// test, the area lower-bound screen, the cached reliability product,
-/// and the interned start pools change nothing but wall time.
+/// and the interned start pools change nothing but wall time. Figure
+/// 4(a) also runs at (6, 4) and (20, 10), a tight-area and a loose
+/// corner.
 #[test]
 fn greedy_and_greedy_reference_agree_across_combos_and_strategies() {
+    support::register_reference_passes();
     let lib = Library::table1();
     let engine = Engine::new(lib.clone());
-    for (dfg, points) in fixtures() {
+    let mut inputs = fixtures();
+    inputs[0].1.extend([Bounds::new(6, 4), Bounds::new(20, 10)]);
+    for (dfg, points) in inputs {
         for fast_flow in all_combos()
             .into_iter()
             .filter(|flow| flow.refine == "greedy")
@@ -277,4 +298,53 @@ fn greedy_and_greedy_reference_agree_across_combos_and_strategies() {
         engine.starts_pools() > 0,
         "the fast side interned start pools"
     );
+}
+
+/// The allocation search's floor only drops designs that could never win
+/// the portfolio, so the reference pass seeded (`greedy-reference`) and
+/// unseeded (`greedy-reference-unseeded`) picks byte-identical `ours` and
+/// `combined` designs with the same `alloc_cap_hit`, on the pinned random
+/// corpus and on a graph whose allocation search hits the cap at its
+/// default bounds. (The optimized `greedy` pass has the same check as a
+/// unit test in `flow/refine.rs`.)
+#[test]
+fn seeded_reference_portfolio_picks_the_unseeded_design() {
+    support::register_reference_passes();
+    let lib = Library::table1();
+    let mut cases: Vec<(String, Bounds)> = Vec::new();
+    for (shape, bounds) in [
+        ("8x3", Bounds::new(8, 8)),
+        ("32x6", Bounds::new(10, 6)),
+        ("64x8", Bounds::new(14, 24)),
+    ] {
+        for seed in 0..3u64 {
+            cases.push((format!("random:{shape}@{seed}"), bounds));
+        }
+    }
+    // `rchls synth`'s default bounds for this graph (the loosest corner
+    // of its default exploration grid).
+    cases.push(("random:128x16@0".to_owned(), Bounds::new(48, 64)));
+
+    for (spec, bounds) in &cases {
+        let dfg = rchls_workloads::load_workload(spec)
+            .expect("pinned spec")
+            .dfg;
+        for strategy_id in ["ours", "combined"] {
+            let strategy = flow::strategy(strategy_id).unwrap();
+            let run = |refine: &str| {
+                strategy
+                    .run(
+                        &SynthRequest::new(&dfg, &lib, *bounds)
+                            .with_flow(FlowSpec::default().with_refine(refine)),
+                    )
+                    .map(|r| (bytes(&r.design), r.diagnostics.alloc_cap_hit))
+                    .map_err(|e| e.to_string())
+            };
+            assert_eq!(
+                run("greedy-reference"),
+                run("greedy-reference-unseeded"),
+                "{strategy_id} on {spec} at {bounds}"
+            );
+        }
+    }
 }

@@ -204,15 +204,8 @@ mod tests {
     use crate::explore::explore;
     use crate::export::exploration_json;
     use rchls_store::ResultStore;
-    use std::path::PathBuf;
+    use rchls_testkit::TestDir;
     use std::sync::Arc;
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("rchls-resume-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn task() -> ExploreTask {
         ExploreTask::new(
@@ -262,8 +255,8 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_the_plain_document() {
-        let dir = scratch("full");
-        let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
+        let dir = TestDir::new("resume-full");
+        let store = Arc::new(ResultStore::open(dir.path()).expect("store opens"));
         let task = task();
         let flow = FlowSpec::default();
         let engine = session(&store, 2);
@@ -292,13 +285,12 @@ mod tests {
             store.load_checkpoint(sweep.fingerprint()),
             Lookup::Miss
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_skips_checkpointed_points_and_reproduces_the_document() {
-        let dir = scratch("resume");
-        let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
+        let dir = TestDir::new("resume-resume");
+        let store = Arc::new(ResultStore::open(dir.path()).expect("store opens"));
         let task = task();
         let lib = Library::table1();
         let flow = FlowSpec::default();
@@ -341,13 +333,12 @@ mod tests {
         assert_eq!(outcome.skipped, 2);
         assert_eq!(outcome.computed, 3);
         assert_eq!(document(&engine, &task), baseline(&task));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn foreign_or_corrupt_checkpoints_are_ignored() {
-        let dir = scratch("foreign");
-        let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
+        let dir = TestDir::new("resume-foreign");
+        let store = Arc::new(ResultStore::open(dir.path()).expect("store opens"));
         let task = task();
         let lib = Library::table1();
         let flow = FlowSpec::default();
@@ -383,6 +374,5 @@ mod tests {
             .expect("checkpoint writes");
         let outcome = sweep.run();
         assert!(!outcome.resumed, "undecodable checkpoint is not adopted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,9 +10,10 @@
 //! optimized and reference must produce **byte-identical schedules** on
 //! every input.
 //!
-//! They are also registered as flow passes (`density-reference`,
-//! `force-directed-reference`) so whole synthesis runs can be replayed
-//! through the naive kernels and diffed end to end.
+//! `rchls-core`'s equivalence suites also register them as test-only
+//! flow passes (`density-reference`, `force-directed-reference`) so
+//! whole synthesis runs are replayed through the naive kernels and
+//! diffed end to end.
 
 use crate::delays::Delays;
 use crate::density::{class_density, windows};

@@ -881,7 +881,11 @@ fn explore_result(
             }
         }
     };
-    let grid: Vec<(u32, u32)> = match (bounds_list("latencies")?, bounds_list("areas")?) {
+    let latencies = bounds_list("latencies")?;
+    for &latency in latencies.iter().flatten() {
+        rchls_core::check_latency_bound(latency).map_err(Fail::BadRequest)?;
+    }
+    let grid: Vec<(u32, u32)> = match (latencies, bounds_list("areas")?) {
         (Some(latencies), Some(areas)) => latencies
             .iter()
             .flat_map(|&l| areas.iter().map(move |&a| (l, a)))

@@ -7,6 +7,7 @@ use rchls_reslib::Library;
 use rchls_serve::{
     response_error_kind, response_result, Client, ServeConfig, Server, ServerHandle,
 };
+use rchls_testkit::TestDir;
 use serde::{map_get, Value};
 
 fn start(config: ServeConfig) -> (ServerHandle, String) {
@@ -63,6 +64,10 @@ fn admin_methods_answer_inline() {
     ] {
         assert!(text.contains(id), "{id} missing from flows");
     }
+    assert!(
+        !text.contains("-reference"),
+        "test-only passes listed: {text}"
+    );
 
     let metrics = client.call("metrics", None, None).unwrap();
     let result = response_result(&metrics).expect("metrics ok");
@@ -213,8 +218,7 @@ fn expired_deadlines_answer_deadline_exceeded() {
 
 #[test]
 fn operation_free_workloads_get_bad_request() {
-    let dir = std::env::temp_dir().join(format!("rchls-serve-e2e-empty-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("serve-e2e-empty");
     let path = dir.join("empty.dfg");
     std::fs::write(&path, "graph empty\n").unwrap();
     let spec = format!("file:{}", path.display());
@@ -247,7 +251,6 @@ fn operation_free_workloads_get_bad_request() {
     assert!(response_result(&doc).is_some());
     handle.shutdown();
     handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -286,8 +289,7 @@ fn malformed_requests_get_structured_bad_request() {
     assert_eq!(response_error_kind(&doc), Some("bad_request"));
 
     // A malformed file workload carries path and line through the wire.
-    let dir = std::env::temp_dir().join(format!("rchls-serve-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("serve-e2e-broken");
     let path = dir.join("broken.dfg");
     std::fs::write(&path, "graph g\nop a add\na -> ghost\n").unwrap();
     let params = Value::Map(vec![(
@@ -316,6 +318,40 @@ fn deeply_nested_json_gets_bad_request_and_the_daemon_survives() {
     let doc: Value = serde_json::from_str(&raw).unwrap();
     assert_eq!(response_error_kind(&doc), Some("bad_request"));
     assert!(raw.contains("recursion limit"), "{raw}");
+
+    let mut fresh = Client::connect(&addr).unwrap();
+    let pong = fresh.call("ping", None, None).unwrap();
+    assert!(response_result(&pong).is_some());
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_huge_latency_bound_gets_bad_request_and_the_daemon_survives() {
+    let (handle, addr) = start(ephemeral(1, 4));
+    let mut client = Client::connect(&addr).unwrap();
+
+    // Ld = u32::MAX once made the scheduler allocate 34 GB and abort the
+    // daemon; the ceiling refuses it at the boundary, for a single job,
+    // a batch entry and a sweep grid alike.
+    let job = r#"{"workload": "builtin:diffeq", "latency": 4294967295, "area": 40}"#;
+    let requests = [
+        ("synth", job.to_owned()),
+        ("batch", format!(r#"{{"jobs": [{job}]}}"#)),
+        (
+            "sweep",
+            r#"{"workload": "builtin:diffeq", "latencies": [4294967295], "areas": [40]}"#
+                .to_owned(),
+        ),
+    ];
+    for (method, params) in requests {
+        let params: Value = serde_json::from_str(&params).unwrap();
+        let doc = client.call(method, Some(&params), None).unwrap();
+        assert_eq!(response_error_kind(&doc), Some("bad_request"), "{method}");
+        let text = serde_json::to_string(&doc).unwrap();
+        assert!(text.contains("ceiling of 65535"), "{method}: {text}");
+    }
 
     let mut fresh = Client::connect(&addr).unwrap();
     let pong = fresh.call("ping", None, None).unwrap();
@@ -378,8 +414,7 @@ fn store_backed_daemon_survives_a_poisoned_store() {
     // A store-backed daemon: synthesis results persist across restarts,
     // metrics reports store facts, and corrupted entries are quarantined
     // mid-flight without wrong answers or downtime.
-    let dir = std::env::temp_dir().join(format!("rchls-serve-e2e-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("serve-e2e-store");
     let store_dir = dir.join("store");
     let config = || ServeConfig {
         store: Some(store_dir.display().to_string()),

@@ -4,36 +4,10 @@
 
 use proptest::prelude::*;
 use rchls_serve::protocol::parse_request;
+use rchls_testkit::mutate;
 
 /// A well-formed request the mutation property starts from.
 const VALID_REQUEST: &str = r#"{"v": 1, "id": 7, "method": "synth", "params": {"workload": "builtin:figure4a", "latency": 6, "area": 4, "strategy": "combined"}, "deadline_ms": 500}"#;
-
-/// Bytes that matter to JSON; mutations draw half their replacement
-/// bytes from here so they reach past the first token.
-const JSON_BYTES: &[u8] = b"[]{}\":,.-+eE0123456789 \\untrufalse";
-
-/// Applies `(op, position, byte)` edits: 0 overwrites, 1 inserts, 2 deletes.
-fn mutate(input: &str, edits: &[(u8, usize, u8)]) -> String {
-    let mut bytes = input.as_bytes().to_vec();
-    for &(op, pos, byte) in edits {
-        let byte = if byte < 128 {
-            byte
-        } else {
-            JSON_BYTES[usize::from(byte) % JSON_BYTES.len()]
-        };
-        match op {
-            0 if !bytes.is_empty() => {
-                let i = pos % bytes.len();
-                bytes[i] = byte;
-            }
-            2 if !bytes.is_empty() => {
-                bytes.remove(pos % bytes.len());
-            }
-            _ => bytes.insert(pos % (bytes.len() + 1), byte),
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]

@@ -481,18 +481,12 @@ pub fn days(n: u64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A fresh scratch root under the system temp dir, unique per test.
-    fn scratch(tag: &str) -> PathBuf {
-        let root =
-            std::env::temp_dir().join(format!("rchls-store-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
-    }
+    use rchls_testkit::TestDir;
 
     #[test]
     fn save_then_load_round_trips() {
-        let store = ResultStore::open(scratch("roundtrip")).unwrap();
+        let dir = TestDir::new("store-roundtrip");
+        let store = ResultStore::open(dir.path()).unwrap();
         assert_eq!(store.load(7), Lookup::Miss);
         store.save(7, r#"{"x": 1}"#).unwrap();
         assert_eq!(store.load(7), Lookup::Hit(r#"{"x": 1}"#.to_owned()));
@@ -510,14 +504,16 @@ mod tests {
         // The header separates at the *first* newline and declares the
         // exact payload byte count, so payloads containing newlines
         // survive verbatim.
-        let store = ResultStore::open(scratch("multiline")).unwrap();
+        let dir = TestDir::new("store-multiline");
+        let store = ResultStore::open(dir.path()).unwrap();
         store.save(1, "{\"a\":\n1}").unwrap();
         assert_eq!(store.load(1), Lookup::Hit("{\"a\":\n1}".to_owned()));
     }
 
     #[test]
     fn truncated_entries_are_quarantined_then_missed() {
-        let store = ResultStore::open(scratch("truncated")).unwrap();
+        let dir = TestDir::new("store-truncated");
+        let store = ResultStore::open(dir.path()).unwrap();
         store.save(42, &"x".repeat(100)).unwrap();
         let path = store.object_path(42);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -533,7 +529,8 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_quarantined() {
-        let store = ResultStore::open(scratch("schema")).unwrap();
+        let dir = TestDir::new("store-schema");
+        let store = ResultStore::open(dir.path()).unwrap();
         store.save(9, "payload").unwrap();
         let path = store.object_path(9);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -549,7 +546,8 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_quarantined() {
-        let store = ResultStore::open(scratch("fingerprint")).unwrap();
+        let dir = TestDir::new("store-fingerprint");
+        let store = ResultStore::open(dir.path()).unwrap();
         store.save(1, "payload-of-one").unwrap();
         // Simulate a mis-filed entry: key 1's bytes under key 2's path.
         let from = store.object_path(1);
@@ -564,7 +562,8 @@ mod tests {
 
     #[test]
     fn garbage_headers_are_quarantined() {
-        let store = ResultStore::open(scratch("garbage")).unwrap();
+        let dir = TestDir::new("store-garbage");
+        let store = ResultStore::open(dir.path()).unwrap();
         store.save(3, "p").unwrap();
         std::fs::write(store.object_path(3), "not json\np\n").unwrap();
         assert_eq!(store.load(3), Lookup::Quarantined);
@@ -576,7 +575,8 @@ mod tests {
 
     #[test]
     fn explicit_quarantine_demotes_entries_with_valid_envelopes() {
-        let store = ResultStore::open(scratch("demote")).unwrap();
+        let dir = TestDir::new("store-demote");
+        let store = ResultStore::open(dir.path()).unwrap();
         store.save(5, "payload the caller cannot decode").unwrap();
         assert!(store.quarantine_object(5));
         assert!(!store.quarantine_object(5), "already gone");
@@ -586,7 +586,8 @@ mod tests {
 
     #[test]
     fn checkpoints_round_trip_and_quarantine_like_objects() {
-        let store = ResultStore::open(scratch("checkpoint")).unwrap();
+        let dir = TestDir::new("store-checkpoint");
+        let store = ResultStore::open(dir.path()).unwrap();
         assert_eq!(store.load_checkpoint(11), Lookup::Miss);
         store
             .save_checkpoint(11, r#"{"completed": [0, 1]}"#)
@@ -610,7 +611,8 @@ mod tests {
 
     #[test]
     fn keys_are_sorted_and_ignore_foreign_files() {
-        let store = ResultStore::open(scratch("keys")).unwrap();
+        let dir = TestDir::new("store-keys");
+        let store = ResultStore::open(dir.path()).unwrap();
         for key in [0xfeed_u64, 0x0001, 0xbeef_0000_0000_0000] {
             store.save(key, "p").unwrap();
         }
@@ -620,7 +622,8 @@ mod tests {
 
     #[test]
     fn gc_by_size_evicts_oldest_first_with_key_tiebreak() {
-        let store = ResultStore::open(scratch("gc-size")).unwrap();
+        let dir = TestDir::new("store-gc-size");
+        let store = ResultStore::open(dir.path()).unwrap();
         for key in [3u64, 1, 2] {
             store.save(key, &"x".repeat(10)).unwrap();
             // Equal mtimes force the deterministic (mtime, key)
@@ -640,7 +643,8 @@ mod tests {
 
     #[test]
     fn gc_by_age_keeps_young_entries() {
-        let store = ResultStore::open(scratch("gc-age")).unwrap();
+        let dir = TestDir::new("store-gc-age");
+        let store = ResultStore::open(dir.path()).unwrap();
         store.save(1, "old").unwrap();
         store.save(2, "new").unwrap();
         set_file_mtime(&store.object_path(1), SystemTime::UNIX_EPOCH).unwrap();
@@ -666,9 +670,9 @@ mod tests {
         // could mint the same tmp name and truncate each other's
         // in-flight writes. The sequence is process-wide now; racing
         // handles must always publish valid entries.
-        let root = scratch("two-handles");
-        let a = std::sync::Arc::new(ResultStore::open(&root).unwrap());
-        let b = std::sync::Arc::new(ResultStore::open(&root).unwrap());
+        let root = TestDir::new("store-two-handles");
+        let a = std::sync::Arc::new(ResultStore::open(root.path()).unwrap());
+        let b = std::sync::Arc::new(ResultStore::open(root.path()).unwrap());
         let payload = format!("{{\"x\": \"{}\"}}", "y".repeat(4096));
         let spawn = |store: std::sync::Arc<ResultStore>, payload: String| {
             std::thread::spawn(move || {
@@ -694,8 +698,8 @@ mod tests {
         // First-writer-wins under the race: with *different* payloads
         // racing on one key, the survivor must be exactly one writer's
         // bytes, never an interleaving.
-        let root = scratch("racing-writers");
-        let store = std::sync::Arc::new(ResultStore::open(&root).unwrap());
+        let root = TestDir::new("store-racing-writers");
+        let store = std::sync::Arc::new(ResultStore::open(root.path()).unwrap());
         let payloads: Vec<String> = (0..4)
             .map(|i| format!("{{\"writer\": {i}, \"pad\": \"{}\"}}", "z".repeat(2048)))
             .collect();
@@ -728,10 +732,9 @@ mod tests {
 
     #[test]
     fn store_error_reports_op_and_path() {
-        let dir = scratch("error");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("store-error");
         std::fs::write(dir.join("objects"), "a file in the way").unwrap();
-        let err = ResultStore::open(&dir).unwrap_err();
+        let err = ResultStore::open(dir.path()).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("store open"), "{text}");
         assert!(text.contains("objects"), "{text}");

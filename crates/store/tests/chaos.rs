@@ -8,14 +8,7 @@
 //! additionally serialize on [`chaos_lock`].
 
 use rchls_store::{Lookup, ResultStore};
-use std::path::PathBuf;
-
-/// A fresh scratch root under the system temp dir, unique per test.
-fn scratch(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("rchls-store-chaos-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    root
-}
+use rchls_testkit::TestDir;
 
 /// The fault plane is process-global; tests that arm it must not
 /// overlap.
@@ -38,7 +31,8 @@ fn tmp_files(store: &ResultStore) -> usize {
 #[test]
 fn injected_write_faults_fail_saves_without_partial_entries() {
     let _guard = chaos_lock();
-    let store = ResultStore::open(scratch("write")).unwrap();
+    let dir = TestDir::new("store-chaos-write");
+    let store = ResultStore::open(dir.path()).unwrap();
     // Each point counts its own hits: save 1 dies at store.write (the
     // later points are never reached), save 2 passes store.write (hit
     // 2) and dies at fsync's first hit, save 3 dies at rename's first.
@@ -71,7 +65,8 @@ fn injected_write_faults_fail_saves_without_partial_entries() {
 #[test]
 fn injected_torn_writes_are_quarantined_on_load() {
     let _guard = chaos_lock();
-    let store = ResultStore::open(scratch("torn")).unwrap();
+    let dir = TestDir::new("store-chaos-torn");
+    let store = ResultStore::open(dir.path()).unwrap();
     arm(r#"{"schema_version": 1, "faults": [
         {"point": "store.write", "action": "torn", "hits": [1]}
     ]}"#);
@@ -90,7 +85,8 @@ fn injected_torn_writes_are_quarantined_on_load() {
 #[test]
 fn injected_read_faults_quarantine_live_entries() {
     let _guard = chaos_lock();
-    let store = ResultStore::open(scratch("read")).unwrap();
+    let dir = TestDir::new("store-chaos-read");
+    let store = ResultStore::open(dir.path()).unwrap();
     store.save(8, "first").unwrap();
     store.save(9, "second").unwrap();
     arm(r#"{"schema_version": 1, "faults": [
@@ -109,7 +105,8 @@ fn injected_read_faults_quarantine_live_entries() {
 #[test]
 fn checkpoints_share_the_write_points() {
     let _guard = chaos_lock();
-    let store = ResultStore::open(scratch("checkpoint")).unwrap();
+    let dir = TestDir::new("store-chaos-checkpoint");
+    let store = ResultStore::open(dir.path()).unwrap();
     arm(r#"{"schema_version": 1, "faults": [
         {"point": "store.write.fsync", "action": "error", "hits": [1]}
     ]}"#);

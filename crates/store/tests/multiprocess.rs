@@ -8,14 +8,10 @@
 //! under that variable and is a no-op otherwise.
 
 use rchls_store::{Lookup, ResultStore};
-use std::path::PathBuf;
+use rchls_testkit::TestDir;
 
 const SHARED_KEY: u64 = 42;
 const KEYS_PER_WRITER: u64 = 25;
-
-fn scratch() -> PathBuf {
-    std::env::temp_dir().join(format!("rchls-store-mp-{}", std::process::id()))
-}
 
 /// Writer-child entry point: under `RCHLS_STORE_MP_CHILD=<dir>|<tag>`,
 /// write a contested shared key plus a private key range, then exit.
@@ -42,16 +38,18 @@ fn multiprocess_writer_child() {
 
 #[test]
 fn two_processes_writing_one_store_leave_only_valid_entries() {
-    let dir = scratch();
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("store-mp");
     let exe = std::env::current_exe().unwrap();
-    let store = ResultStore::open(&dir).unwrap();
+    let store = ResultStore::open(dir.path()).unwrap();
 
     let mut children: Vec<std::process::Child> = (0..2)
         .map(|tag| {
             std::process::Command::new(&exe)
                 .args(["multiprocess_writer_child", "--exact"])
-                .env("RCHLS_STORE_MP_CHILD", format!("{}|{tag}", dir.display()))
+                .env(
+                    "RCHLS_STORE_MP_CHILD",
+                    format!("{}|{tag}", dir.path().display()),
+                )
                 .stdout(std::process::Stdio::null())
                 .spawn()
                 .expect("spawn writer child")
@@ -105,5 +103,4 @@ fn two_processes_writing_one_store_leave_only_valid_entries() {
         .map(|entries| entries.count())
         .unwrap_or(0);
     assert_eq!(tmp_litter, 0, "tmp/ should be empty after clean exits");
-    let _ = std::fs::remove_dir_all(&dir);
 }

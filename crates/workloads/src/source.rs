@@ -331,34 +331,7 @@ pub fn load_workload(spec: &str) -> Result<Workload, WorkloadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A scratch directory owned by one test: the process id plus a
-    /// per-process counter keep concurrent tests (and concurrent test
-    /// processes) from sharing files, and the directory is removed on
-    /// drop.
-    struct TestDir(std::path::PathBuf);
-
-    impl TestDir {
-        fn new(tag: &str) -> TestDir {
-            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let dir = std::env::temp_dir()
-                .join(format!("rchls-workloads-{tag}-{}-{n}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            TestDir(dir)
-        }
-
-        fn join(&self, name: &str) -> std::path::PathBuf {
-            self.0.join(name)
-        }
-    }
-
-    impl Drop for TestDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+    use rchls_testkit::TestDir;
 
     #[test]
     fn builtin_specs_resolve_to_the_same_graphs_as_the_constructors() {

@@ -4,35 +4,8 @@
 
 use proptest::prelude::*;
 use rchls_dfg::parse_dfg;
+use rchls_testkit::TestDir;
 use rchls_workloads::{load_workload, random_layered_dfg, RandomDfgConfig};
-
-/// A scratch directory owned by one test: the process id plus a
-/// per-process counter keep concurrent tests (and concurrent test
-/// processes) from sharing files, and the directory is removed on
-/// drop.
-struct TestDir(std::path::PathBuf);
-
-impl TestDir {
-    fn new(tag: &str) -> TestDir {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("rchls-workloads-{tag}-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TestDir(dir)
-    }
-
-    fn join(&self, name: &str) -> std::path::PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for TestDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn configs() -> impl Strategy<Value = RandomDfgConfig> {
     (1usize..60, 1usize..8, 0u64..1000, 0u32..=10, 0u32..=10).prop_map(
@@ -63,7 +36,7 @@ proptest! {
         let spec = format!("random:20x4@{seed}");
         let w = load_workload(&spec).unwrap();
         let dir = TestDir::new("roundtrip");
-        let path = dir.join(&format!("w{seed}.dfg"));
+        let path = dir.join(format!("w{seed}.dfg"));
         std::fs::write(&path, w.dfg.to_text()).unwrap();
         let again = load_workload(&format!("file:{}", path.display())).unwrap();
         prop_assert_eq!(again.dfg, w.dfg);
